@@ -27,7 +27,7 @@ physics.
 
 A snapshot arm also times the portable-kernel round trip
 (``save_snapshot``/``load_snapshot`` over every scenario) and a
-warm-started sequential run, exercising the ``bfl batch --snapshot``
+warm-started sequential run, exercising the ``bfl batch --store``
 path end to end.
 
 Run directly for a self-checking report::
@@ -45,6 +45,7 @@ import time
 
 from bench_json import record_run
 
+from repro.bdd.manager import encode_snapshot
 from repro.casestudy import build_covid_tree
 from repro.ft import RandomTreeConfig, dual_tree, random_tree
 from repro.service import BatchAnalyzer
@@ -138,8 +139,6 @@ def _stripped(report) -> list:
 def snapshot_round_trip(trees: dict) -> dict:
     """Time save/load of every scenario's kernel plus a warm-started
     (single-process) mini-battery, pinning agreement with a cold run."""
-    import json
-
     warm_source = BatchAnalyzer(trees, uniform=UNIFORM)
     start = time.perf_counter()
     warm_source.prewarm_trees()
@@ -148,7 +147,9 @@ def snapshot_round_trip(trees: dict) -> dict:
     start = time.perf_counter()
     snapshots = warm_source.kernel_snapshots()
     save_ms = (time.perf_counter() - start) * 1000.0
-    payload_bytes = len(json.dumps(snapshots))
+    payload_bytes = sum(
+        len(encode_snapshot(entry["kernel"])) for entry in snapshots.values()
+    )
 
     start = time.perf_counter()
     warm = BatchAnalyzer(trees, uniform=UNIFORM, snapshots=snapshots)

@@ -8,7 +8,7 @@ The server's business case is the three-tier session lifecycle:
   evaluation against hot caches;
 * **rewarm** — a *fresh server process* whose snapshot store was
   populated by the previous one (the drain path): the request
-  ``load_snapshot``-adopts the binary v2 kernel instead of rebuilding.
+  ``load_snapshot``-adopts the stored kernel instead of rebuilding.
 
 This benchmark measures all three through the real HTTP surface on a
 translation-heavy random tree (the covid tree is too small to show the

@@ -15,6 +15,9 @@ truth, plus a README whose command inventory tends to rot:
   :class:`~repro.errors.ExecutionError` taxonomy.
 * ``README.md`` — every ``bfl`` subcommand registered in
   :func:`repro.cli.build_parser` must appear (as ``bfl <name>``).
+* ``README.md`` and ``docs/*.md`` — every ``--flag`` shown after
+  ``bfl <subcommand>`` on a line must be an option of that subcommand,
+  so a retired flag cannot linger in an example.
 
 Each check returns a list of human-readable problems so the test suite
 can call them individually; ``main()`` runs all of them and exits
@@ -31,7 +34,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 if str(REPO / "src") not in sys.path:  # runnable without PYTHONPATH=src
@@ -163,23 +166,29 @@ def check_server_error_kinds() -> List[str]:
     return problems
 
 
-def check_readme_subcommands() -> List[str]:
-    """Every ``bfl`` subcommand must appear in README as ``bfl <name>``."""
+def _subcommand_options() -> Dict[str, Set[str]]:
+    """``bfl`` subcommand name -> its option strings (``--help`` too)."""
     import argparse
 
     from repro.cli import build_parser
 
+    for action in build_parser()._actions:  # noqa: SLF001 — argparse
+        # has no public subcommand inventory; this is what it offers.
+        if isinstance(action, argparse._SubParsersAction):
+            return {
+                name: set(sub._option_string_actions)
+                for name, sub in action.choices.items()
+            }
+    return {}
+
+
+def check_readme_subcommands() -> List[str]:
+    """Every ``bfl`` subcommand must appear in README as ``bfl <name>``."""
     if not README.is_file():
         return ["README.md is missing"]
     text = README.read_text(encoding="utf-8")
-    parser = build_parser()
-    subcommands: List[str] = []
-    for action in parser._actions:  # noqa: SLF001 — argparse has no
-        # public subcommand inventory; this is what it offers.
-        if isinstance(action, argparse._SubParsersAction):
-            subcommands = list(action.choices)
     problems = []
-    for name in subcommands:
+    for name in _subcommand_options():
         if f"bfl {name}" not in text:
             problems.append(
                 f"README.md never mentions `bfl {name}` (every "
@@ -188,11 +197,42 @@ def check_readme_subcommands() -> List[str]:
     return problems
 
 
+#: ``bfl <subcommand>`` plus the rest of its command line: up to a
+#: backtick, a shell comment or pipe, or the next ``bfl`` command.
+_COMMAND = re.compile(
+    r"(?<![\w/.-])bfl\s+([a-z][\w-]*)((?:(?!\bbfl\s)[^`#|\n])*)"
+)
+
+
+def check_doc_flags(paths: Optional[Sequence[Path]] = None) -> List[str]:
+    """Every ``--flag`` after ``bfl <subcommand>`` in README.md and
+    docs/*.md must be an option of that subcommand."""
+    if paths is None:
+        paths = [README, *sorted((REPO / "docs").glob("*.md"))]
+    options = _subcommand_options()
+    problems = []
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for match in _COMMAND.finditer(line):
+                name, rest = match.groups()
+                if name not in options:
+                    continue  # prose ("bfl is ..."), not a command
+                for flag in re.findall(r"--[A-Za-z][\w-]*", rest):
+                    if flag not in options[name]:
+                        problems.append(
+                            f"{path.name}:{lineno}: `bfl {name} {flag}` — "
+                            f"{flag} is not an option of bfl {name}"
+                        )
+    return problems
+
+
 CHECKS = (
     check_dsl_kinds,
     check_server_endpoints,
     check_server_error_kinds,
     check_readme_subcommands,
+    check_doc_flags,
 )
 
 

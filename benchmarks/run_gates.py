@@ -228,7 +228,8 @@ GATES: Tuple[GateSpec, ...] = (
         name="docs",
         script="docs_gate.py",
         title="docs drift: dsl.md kinds vs registry, server.md endpoints "
-        "vs ROUTES, error_kind taxonomy, README subcommand inventory",
+        "vs ROUTES, error_kind taxonomy, README subcommand inventory, "
+        "bfl <sub> --flag examples vs the parser",
         override="PYTHONPATH",
     ),
     GateSpec(

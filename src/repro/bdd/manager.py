@@ -63,16 +63,20 @@ the CUDD/BuDDy tradition):
   both fire at :meth:`BDDManager.checkpoint` safe points.
 
 The node store is also *portable*: :meth:`BDDManager.save_snapshot`
-compacts the live parallel arrays plus named root edges into a JSON-safe
-dict, and :meth:`BDDManager.load_snapshot` rebuilds a fresh manager from
-one (re-validating every canonical-form invariant).  Snapshots carry no
-memo tables — see the method docstrings and DESIGN.md for why.
+compacts the live parallel arrays plus named root edges into a dict of
+raw int64 columns, and :meth:`BDDManager.load_snapshot` rebuilds a fresh
+manager from one (re-validating every canonical-form invariant).
+:func:`encode_snapshot` / :func:`decode_snapshot` are the one on-disk
+form of such a dict: a JSON header line followed by the raw columns.
+Snapshots carry no memo tables — see the method docstrings and DESIGN.md
+for why.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import sys
 import weakref
 from array import array
@@ -148,53 +152,108 @@ _CACHE_MIN_BITS = 12
 _CACHE_MAX_BITS = 20
 
 #: Marker / version of the portable kernel snapshot format (see
-#: :meth:`BDDManager.save_snapshot`).  Version 1 payloads carry plain
-#: JSON-safe lists; version 2 payloads carry the same arrays as raw
-#: little/big-endian int64 ``bytes`` (``binary=True``), which shard
-#: workers adopt wholesale as buffers.  :meth:`BDDManager.load_snapshot`
-#: reads both and rejects anything else.
+#: :meth:`BDDManager.save_snapshot`).  The three node columns travel as
+#: raw native-endian int64 ``bytes``, which a loading manager adopts
+#: wholesale as buffers; :meth:`BDDManager.load_snapshot` rejects any
+#: other format or version.
 SNAPSHOT_FORMAT = "repro-bdd-kernel"
-SNAPSHOT_VERSION = 1
-SNAPSHOT_VERSION_BINARY = 2
+SNAPSHOT_VERSION = 2
+
+#: The node columns of a snapshot, in checksum and file order.
+_COLUMNS = ("levels", "lows", "highs")
 
 
 def snapshot_checksum(data: Mapping[str, object]) -> str:
     """Canonical sha256 content digest of a snapshot payload.
 
     Covers everything that determines the reconstructed kernel —
-    version, variable order, the three node columns (raw bytes for
-    version 2, decimal digits for version-1 lists, so the digest is
-    endianness-independent where the payload is), and the named roots —
-    and deliberately nothing else, so adding metadata keys to a snapshot
-    file never invalidates existing checksums.  Non-canonical values
-    (wrong types smuggled into a column) still hash deterministically
-    via ``str``; they change the digest, which is exactly what a
-    checksum should do with corruption.
+    version, variable order, the raw bytes of the three node columns,
+    and the named roots — and deliberately nothing else, so adding
+    metadata keys to a snapshot never invalidates existing checksums.
+    The columns must be bytes-like (:meth:`BDDManager.load_snapshot`
+    checks that before it asks for the digest).
     """
     h = hashlib.sha256()
     h.update(str(data.get("version")).encode())
     for name in data.get("variables") or ():
         h.update(b"\x00")
         h.update(str(name).encode())
-    for column in ("levels", "lows", "highs"):
-        value = data.get(column)
+    for column in _COLUMNS:
         h.update(b"\x01")
-        if isinstance(value, (bytes, bytearray)):
-            h.update(bytes(value))
-        elif isinstance(value, array):
-            h.update(value.tobytes())
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                h.update(str(item).encode())
-                h.update(b",")
-        else:
-            h.update(str(value).encode())
+        h.update(data[column])
     roots = data.get("roots")
     if isinstance(roots, Mapping):
         for name in sorted(str(key) for key in roots):
             h.update(b"\x02")
             h.update(f"{name}={roots.get(name)}".encode())
     return h.hexdigest()
+
+
+def encode_snapshot(snapshot: Mapping[str, object], **header: object) -> bytes:
+    """The on-disk form of a :meth:`BDDManager.save_snapshot` dict.
+
+    One JSON header line — every non-column key of ``snapshot``, the
+    extra ``header`` keys (e.g. the store's ``tree`` fingerprint), and
+    the byte length of each column under ``"columns"`` — followed by
+    the three raw columns back to back.  :func:`decode_snapshot`
+    reverses it; the sha256 inside the header still covers the columns,
+    so bit rot anywhere in the file is caught on load.
+    """
+    columns = [bytes(snapshot[column]) for column in _COLUMNS]
+    head = {
+        key: value for key, value in snapshot.items() if key not in _COLUMNS
+    }
+    head.update(header)
+    head["columns"] = {
+        column: len(raw) for column, raw in zip(_COLUMNS, columns)
+    }
+    # json.dumps escapes every newline inside strings, so the header is
+    # exactly one line and the first b"\n" ends it.
+    return b"".join([json.dumps(head).encode("utf-8"), b"\n", *columns])
+
+
+def decode_snapshot(data: bytes) -> Dict[str, object]:
+    """Split :func:`encode_snapshot` bytes back into a snapshot dict
+    (header keys plus ``bytes`` columns).
+
+    Only the framing is checked here; the payload itself is validated
+    by :meth:`BDDManager.load_snapshot`.
+
+    Raises:
+        SnapshotError: If the header line is missing or is not a JSON
+            object, if a column length is missing or negative, or if
+            the lengths do not add up to exactly the bytes that follow.
+    """
+    data = bytes(data)
+    newline = data.find(b"\n")
+    if newline < 0:
+        raise SnapshotError("snapshot bytes have no header line")
+    try:
+        head = json.loads(data[:newline])
+    except (ValueError, RecursionError) as exc:
+        raise SnapshotError(f"snapshot header is not JSON: {exc}") from exc
+    if not isinstance(head, dict):
+        raise SnapshotError(
+            f"snapshot header must be a JSON object, got {type(head).__name__}"
+        )
+    lengths = head.pop("columns", None)
+    if not isinstance(lengths, dict) or not all(
+        type(lengths.get(column)) is int and lengths[column] >= 0
+        for column in _COLUMNS
+    ):
+        raise SnapshotError(
+            f"snapshot header has no valid column lengths: {lengths!r}"
+        )
+    offset = newline + 1
+    if offset + sum(lengths[column] for column in _COLUMNS) != len(data):
+        raise SnapshotError(
+            f"snapshot column lengths {lengths!r} do not match the "
+            f"{len(data) - offset} bytes after the header"
+        )
+    for column in _COLUMNS:
+        head[column] = data[offset:offset + lengths[column]]
+        offset += lengths[column]
+    return head
 
 
 def _stamp_snapshot(payload: Dict[str, object]) -> Dict[str, object]:
@@ -1942,12 +2001,9 @@ class BDDManager:
     # ------------------------------------------------------------------
 
     def save_snapshot(
-        self,
-        roots: Optional[Mapping[str, Ref]] = None,
-        *,
-        binary: bool = False,
+        self, roots: Optional[Mapping[str, Ref]] = None
     ) -> Dict[str, object]:
-        """Serialise the node store into a portable, JSON-safe dict.
+        """Serialise the node store into a portable snapshot dict.
 
         The snapshot captures exactly the canonical kernel state — the
         variable order and the ``(level, low, high)`` parallel arrays —
@@ -1965,133 +2021,82 @@ class BDDManager:
         and live indices are remapped to a dense, children-first
         (descending-level) numbering, which is what lets
         :meth:`load_snapshot` rebuild the store in one append-only pass.
-
-        With ``binary=True`` the three node arrays are emitted as raw
-        native-endian int64 ``bytes`` (version 2) instead of lists —
-        one ``memcpy`` out of the compacted buffers, and on load the
-        receiving manager adopts them wholesale with ``frombytes``
-        rather than rebuilding node-by-node.  Binary payloads are what
-        the shard workers ship (pickle handles ``bytes`` natively);
-        they are *not* JSON-safe, and they record ``sys.byteorder`` so
+        The three node arrays are emitted as raw native-endian int64
+        ``bytes`` — one ``memcpy`` out of the compacted buffers, adopted
+        wholesale on load — and the payload records ``sys.byteorder`` so
         a foreign-endian payload fails loudly instead of silently
-        misreading.  The default stays the version-1 JSON-safe lists.
+        misreading.  :func:`encode_snapshot` turns the dict into file
+        bytes; pickle carries it across process boundaries as is.
 
         Args:
             roots: Named handles to preserve.  When given, only nodes
                 reachable from these roots are saved (dead and unrelated
                 nodes are left behind); when omitted, every live stored
                 node is saved and ``roots`` is empty in the result.
-            binary: Emit the node arrays as int64 ``bytes`` (version 2).
 
         Returns:
-            A dict of plain lists/ints/strings — safe for ``json.dumps``
-            and for pickling across process boundaries — or, with
-            ``binary=True``, the same dict with ``bytes`` node arrays.
+            A version-2 snapshot dict with a ``sha256`` content checksum.
         """
         level, low, high = self._level, self._low, self._high
         root_edges: Dict[str, int] = {}
-        np_mod = _nputil.np
+        marked = None
         if roots is not None:
             for name, ref in roots.items():
                 root_edges[str(name)] = self._unwrap(ref)
-            seen = {0}
-            stack = [edge >> 1 for edge in root_edges.values()]
-            live: List[int] = []
-            while stack:
-                index = stack.pop()
-                if index in seen:
-                    continue
-                seen.add(index)
-                live.append(index)
-                stack.append(low[index] >> 1)
-                stack.append(high[index] >> 1)
-        elif np_mod is not None:
-            lv_view = np_mod.frombuffer(level, dtype=np_mod.int64)
-            live = np_mod.nonzero(lv_view != _FREE_LEVEL)[0][1:].tolist()
-        else:
-            live = [
-                index
-                for index in range(1, len(level))
-                if level[index] != _FREE_LEVEL
-            ]
+            marked, _ = self._mark(edge >> 1 for edge in root_edges.values())
         # Children sit at strictly greater levels, so descending-level
         # order lists every child before its parents; ties (one level)
         # cannot be related, and the index tie-break keeps it stable.
-        if np_mod is not None and live:
+        np_mod = _nputil.np
+        if np_mod is not None:
             np = np_mod
             lv_view = np.frombuffer(level, dtype=np.int64)
-            lo_view = np.frombuffer(low, dtype=np.int64)
-            hi_view = np.frombuffer(high, dtype=np.int64)
-            live_arr = np.asarray(live, dtype=np.int64)
+            if marked is not None:
+                keep = np.frombuffer(marked, dtype=np.uint8) != 0
+            else:
+                keep = lv_view != _FREE_LEVEL
+            live = np.nonzero(keep)[0][1:]
             # lexsort: last key is primary (descending level, then index).
-            order = np.lexsort((live_arr, -lv_view[live_arr]))
-            live_arr = live_arr[order]
-            remap_arr = np.zeros(len(level), dtype=np.int64)
-            remap_arr[live_arr] = np.arange(1, len(live_arr) + 1)
-            lo_live = lo_view[live_arr]
-            hi_live = hi_view[live_arr]
-            out_levels = lv_view[live_arr]
-            out_lows = (remap_arr[lo_live >> 1] << 1) | (lo_live & 1)
-            out_highs = (remap_arr[hi_live >> 1] << 1) | (hi_live & 1)
-            out_roots = {
-                name: int((remap_arr[edge >> 1] << 1) | (edge & 1))
-                for name, edge in root_edges.items()
-            }
-            if binary:
-                return _stamp_snapshot({
-                    "format": SNAPSHOT_FORMAT,
-                    "version": SNAPSHOT_VERSION_BINARY,
-                    "variables": list(self._order),
-                    "byteorder": sys.byteorder,
-                    "levels": out_levels.tobytes(),
-                    "lows": out_lows.tobytes(),
-                    "highs": out_highs.tobytes(),
-                    "roots": out_roots,
-                })
-            return _stamp_snapshot({
-                "format": SNAPSHOT_FORMAT,
-                "version": SNAPSHOT_VERSION,
-                "variables": list(self._order),
-                "levels": out_levels.tolist(),
-                "lows": out_lows.tolist(),
-                "highs": out_highs.tolist(),
-                "roots": out_roots,
-            })
-        live.sort(key=lambda i: (-level[i], i))
-        remap = {0: 0}
-        for position, index in enumerate(live):
-            remap[index] = position + 1
-        levels_list = [level[i] for i in live]
-        lows_list = [
-            (remap[low[i] >> 1] << 1) | (low[i] & 1) for i in live
-        ]
-        highs_list = [
-            (remap[high[i] >> 1] << 1) | (high[i] & 1) for i in live
-        ]
-        roots_out = {
-            name: (remap[edge >> 1] << 1) | (edge & 1)
-            for name, edge in root_edges.items()
-        }
-        if binary:
-            return _stamp_snapshot({
-                "format": SNAPSHOT_FORMAT,
-                "version": SNAPSHOT_VERSION_BINARY,
-                "variables": list(self._order),
-                "byteorder": sys.byteorder,
-                "levels": array("q", levels_list).tobytes(),
-                "lows": array("q", lows_list).tobytes(),
-                "highs": array("q", highs_list).tobytes(),
-                "roots": roots_out,
-            })
-        return _stamp_snapshot({
+            live = live[np.lexsort((live, -lv_view[live]))]
+            remap = np.zeros(len(level), dtype=np.int64)
+            remap[live] = np.arange(1, len(live) + 1)
+            lo_live = np.frombuffer(low, dtype=np.int64)[live]
+            hi_live = np.frombuffer(high, dtype=np.int64)[live]
+            columns = (
+                lv_view[live],
+                (remap[lo_live >> 1] << 1) | (lo_live & 1),
+                (remap[hi_live >> 1] << 1) | (hi_live & 1),
+            )
+        else:
+            if marked is None:
+                marked = [lv != _FREE_LEVEL for lv in level]
+            live = [index for index in range(1, len(level)) if marked[index]]
+            live.sort(key=lambda i: (-level[i], i))
+            remap = {0: 0}
+            for position, index in enumerate(live):
+                remap[index] = position + 1
+            columns = (
+                array("q", [level[i] for i in live]),
+                array("q", [
+                    (remap[low[i] >> 1] << 1) | (low[i] & 1) for i in live
+                ]),
+                array("q", [
+                    (remap[high[i] >> 1] << 1) | (high[i] & 1) for i in live
+                ]),
+            )
+        payload: Dict[str, object] = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
             "variables": list(self._order),
-            "levels": levels_list,
-            "lows": lows_list,
-            "highs": highs_list,
-            "roots": roots_out,
-        })
+            "byteorder": sys.byteorder,
+            "roots": {
+                name: int((remap[edge >> 1] << 1) | (edge & 1))
+                for name, edge in root_edges.items()
+            },
+        }
+        for column, values in zip(_COLUMNS, columns):
+            payload[column] = values.tobytes()
+        return _stamp_snapshot(payload)
 
     @classmethod
     def load_snapshot(
@@ -2100,25 +2105,20 @@ class BDDManager:
         """Rebuild a fresh manager (plus its named roots) from a
         :meth:`save_snapshot` dict.
 
-        Every canonical-form invariant is re-validated on the way in —
-        regular stored high edges, distinct children, strictly increasing
-        levels, no duplicate ``(level, low, high)`` triples, children
-        preceding parents — so a reloaded manager passes
-        :meth:`check_invariants` or the load fails loudly.  Caches start
-        cold and automatic GC/reordering starts disarmed (configure them
-        via :meth:`configure_memory` as usual).
+        The mandatory ``sha256`` content checksum is verified first, so
+        a truncated or bit-flipped payload is reported as corruption
+        (:class:`~repro.errors.SnapshotIntegrityError`), not as whichever
+        shape check it happens to trip.  Then every canonical-form
+        invariant is re-validated — regular stored high edges, distinct
+        children, strictly increasing levels, no duplicate ``(level,
+        low, high)`` triples, children preceding parents — so a reloaded
+        manager passes :meth:`check_invariants` or the load fails loudly.
+        Caches start cold and automatic GC/reordering starts disarmed
+        (configure them via :meth:`configure_memory` as usual).
 
         Raises:
             SnapshotError: On any malformed or foreign payload.
         """
-
-        def _int(value: object, what: str) -> int:
-            # bool is an int subclass; a snapshot carrying `true` where a
-            # node index belongs is corrupt, not convertible.
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SnapshotError(f"{what} must be an integer, got {value!r}")
-            return value
-
         if not isinstance(data, Mapping):
             raise SnapshotError(
                 f"snapshot must be a mapping, got {type(data).__name__}"
@@ -2129,64 +2129,48 @@ class BDDManager:
                 f"expected {SNAPSHOT_FORMAT!r})"
             )
         version = data.get("version")
-        if version not in (SNAPSHOT_VERSION, SNAPSHOT_VERSION_BINARY):
+        if version != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"unsupported snapshot version {version!r} "
-                f"(this kernel reads versions {SNAPSHOT_VERSION} and "
-                f"{SNAPSHOT_VERSION_BINARY})"
+                f"(this kernel reads version {SNAPSHOT_VERSION})"
             )
-        # Content integrity comes before structural decoding: a
-        # truncated or bit-flipped payload is reported as corruption
-        # (SnapshotIntegrityError), not as whichever downstream shape
-        # check it happens to trip.  Snapshots written before checksums
-        # existed carry no digest and stay loadable.
         declared = data.get("sha256")
-        if declared is not None:
-            actual = snapshot_checksum(data)
-            if declared != actual:
-                raise SnapshotIntegrityError(
-                    "snapshot payload failed its sha256 content checksum "
-                    f"(stored {str(declared)[:16]}…, computed "
-                    f"{actual[:16]}…): corrupt or truncated snapshot"
-                )
+        if not isinstance(declared, str):
+            raise SnapshotIntegrityError(
+                "snapshot payload carries no sha256 content checksum"
+            )
         variables = data.get("variables")
-        levels = data.get("levels")
-        lows = data.get("lows")
-        highs = data.get("highs")
-        raw_roots = data.get("roots", {})
-        if not isinstance(variables, list):
-            raise SnapshotError("snapshot 'variables' must be a list")
-        if version == SNAPSHOT_VERSION:
-            for what, value in (
-                ("levels", levels), ("lows", lows), ("highs", highs),
-            ):
-                if not isinstance(value, list):
-                    raise SnapshotError(f"snapshot {what!r} must be a list")
-        else:
-            byteorder = data.get("byteorder")
-            if byteorder != sys.byteorder:
+        if not isinstance(variables, list) or not all(
+            isinstance(name, str) for name in variables
+        ):
+            raise SnapshotError("snapshot 'variables' must be a list of names")
+        for column in _COLUMNS:
+            if not isinstance(data.get(column), (bytes, bytearray)):
+                raise SnapshotError(f"snapshot {column!r} must be bytes")
+        actual = snapshot_checksum(data)
+        if declared != actual:
+            raise SnapshotIntegrityError(
+                "snapshot payload failed its sha256 content checksum "
+                f"(stored {declared[:16]}…, computed {actual[:16]}…): "
+                "corrupt or truncated snapshot"
+            )
+        byteorder = data.get("byteorder")
+        if byteorder != sys.byteorder:
+            raise SnapshotError(
+                f"snapshot byte order {byteorder!r} does not match this "
+                f"host ({sys.byteorder!r})"
+            )
+        decoded = []
+        for column in _COLUMNS:
+            raw = data[column]
+            if len(raw) % 8:
                 raise SnapshotError(
-                    f"binary snapshot byte order {byteorder!r} does not "
-                    f"match this host ({sys.byteorder!r}); use the "
-                    "version-1 list format across architectures"
+                    f"snapshot {column!r} is not a whole number of int64 "
+                    "values"
                 )
-            decoded = []
-            for what, value in (
-                ("levels", levels), ("lows", lows), ("highs", highs),
-            ):
-                if not isinstance(value, (bytes, bytearray)):
-                    raise SnapshotError(
-                        f"binary snapshot {what!r} must be bytes"
-                    )
-                if len(value) % 8:
-                    raise SnapshotError(
-                        f"binary snapshot {what!r} is not a whole number "
-                        "of int64 values"
-                    )
-                arr = array("q")
-                arr.frombytes(value)
-                decoded.append(arr)
-            levels, lows, highs = decoded
+            decoded.append(array("q", raw))
+        levels, lows, highs = decoded
+        raw_roots = data.get("roots", {})
         if not isinstance(raw_roots, Mapping):
             raise SnapshotError("snapshot 'roots' must be a mapping")
         if not len(levels) == len(lows) == len(highs):
@@ -2195,7 +2179,10 @@ class BDDManager:
                 f"({len(levels)}/{len(lows)}/{len(highs)})"
             )
 
-        manager = cls(variables)  # VariableError on empty/duplicate names
+        try:
+            manager = cls(variables)
+        except VariableError as exc:  # empty or duplicate names
+            raise SnapshotError(f"snapshot 'variables': {exc}") from exc
         n_vars = len(manager._order)
         np_mod = _nputil.np
         if np_mod is not None and len(levels) and cls._validate_arrays_np(
@@ -2204,17 +2191,11 @@ class BDDManager:
             # Bulk adoption: every invariant vectorised-verified above,
             # so the three buffers append onto the node arrays in one
             # memcpy each and the unique table rebuilds tombstone-free.
-            n = len(levels)
-            if isinstance(levels, array):
-                manager._level.frombytes(levels.tobytes())
-                manager._low.frombytes(lows.tobytes())
-                manager._high.frombytes(highs.tobytes())
-            else:
-                manager._level.extend(levels)
-                manager._low.extend(lows)
-                manager._high.extend(highs)
-            manager._refcount.frombytes(bytes(8 * n))
-            manager._peak_nodes = n + 1
+            manager._level.extend(levels)
+            manager._low.extend(lows)
+            manager._high.extend(highs)
+            manager._refcount.frombytes(bytes(8 * len(levels)))
+            manager._peak_nodes = len(levels) + 1
             manager._ut_rebuild()
         else:
             # Pure-Python path (and the precise-diagnosis path when the
@@ -2222,9 +2203,6 @@ class BDDManager:
             # checks with exact per-node error messages.
             for position, (lv, lo, hi) in enumerate(zip(levels, lows, highs)):
                 index = position + 1
-                lv = _int(lv, f"node {index}: level")
-                lo = _int(lo, f"node {index}: low edge")
-                hi = _int(hi, f"node {index}: high edge")
                 if not 0 <= lv < n_vars:
                     raise SnapshotError(
                         f"node {index}: level {lv} outside the "
@@ -2259,7 +2237,12 @@ class BDDManager:
                 manager._ut_insert(lv, lo, hi, slot)
         roots: Dict[str, Ref] = {}
         for name, edge in raw_roots.items():
-            edge = _int(edge, f"root {name!r}")
+            # bool is an int subclass; a root carrying `true` where an
+            # edge belongs is corrupt, not convertible.
+            if isinstance(edge, bool) or not isinstance(edge, int):
+                raise SnapshotError(
+                    f"root {name!r} must be an integer, got {edge!r}"
+                )
             if edge < 0 or (edge >> 1) > len(levels):
                 raise SnapshotError(
                     f"root {name!r}: edge {edge} points outside the store"
@@ -2271,20 +2254,11 @@ class BDDManager:
     def _validate_arrays_np(np, levels, lows, highs, n_vars: int) -> bool:
         """Vectorised snapshot validation: True iff every node passes
         every canonical-form check.  Returns False (never raises) on any
-        violation *or* any non-integer payload, handing off to the
-        per-node Python loop for an exact diagnostic."""
-        try:
-            lv = np.asarray(levels)
-            lo = np.asarray(lows)
-            hi = np.asarray(highs)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        for arr in (lv, lo, hi):
-            if arr.dtype.kind not in "iu" or arr.ndim != 1:
-                return False
-        lv = lv.astype(np.int64, copy=False)
-        lo = lo.astype(np.int64, copy=False)
-        hi = hi.astype(np.int64, copy=False)
+        violation, handing off to the per-node Python loop for an exact
+        diagnostic."""
+        lv = np.frombuffer(levels, dtype=np.int64)
+        lo = np.frombuffer(lows, dtype=np.int64)
+        hi = np.frombuffer(highs, dtype=np.int64)
         n = len(lv)
         positions = np.arange(n, dtype=np.int64)
         if not (
@@ -2321,8 +2295,8 @@ class BDDManager:
     # Garbage collection
     # ------------------------------------------------------------------
 
-    def _mark_external(self) -> Tuple[bytearray, int]:
-        """Mark every node reachable from a live external Ref.
+    def _mark(self, roots: Iterable[int]) -> Tuple[bytearray, int]:
+        """Mark every node reachable from the node indices ``roots``.
 
         Returns ``(marked, count)`` where ``marked[index]`` is 1 for
         reachable indices (the terminal always counts) and ``count`` is
@@ -2332,26 +2306,12 @@ class BDDManager:
         marked = bytearray(len(self._level))
         marked[0] = 1
         count = 1
-        # Root scan over the refcount buffer.  Finalizers of
-        # cycle-collected Refs may decrement counts at any allocation
-        # point, which only ever shrinks the root set — a stale positive
-        # read keeps a node alive one collection longer, never frees a
-        # live one.
-        np_mod = _nputil.np
-        if np_mod is not None:
-            view = np_mod.frombuffer(self._refcount, dtype=np_mod.int64)
-            stack = np_mod.nonzero(view > 0)[0].tolist()
-        else:
-            stack = [
-                index
-                for index, refs in enumerate(self._refcount)
-                if refs > 0
-            ]
-        for index in stack:
+        stack = []
+        for index in roots:
             if not marked[index]:
                 marked[index] = 1
                 count += 1
-        stack = [index for index in stack if index]
+                stack.append(index)
         while stack:
             index = stack.pop()
             for child in (low[index] >> 1, high[index] >> 1):
@@ -2360,6 +2320,23 @@ class BDDManager:
                     count += 1
                     stack.append(child)
         return marked, count
+
+    def _mark_external(self) -> Tuple[bytearray, int]:
+        """:meth:`_mark` from every node with a live external Ref.
+
+        Roots come from a scan over the refcount buffer.  Finalizers of
+        cycle-collected Refs may decrement counts at any allocation
+        point, which only ever shrinks the root set — a stale positive
+        read keeps a node alive one collection longer, never frees a
+        live one.
+        """
+        np_mod = _nputil.np
+        if np_mod is not None:
+            view = np_mod.frombuffer(self._refcount, dtype=np_mod.int64)
+            return self._mark(np_mod.nonzero(view > 0)[0].tolist())
+        return self._mark(
+            index for index, refs in enumerate(self._refcount) if refs > 0
+        )
 
     def reachable_node_count(self) -> int:
         """Stored nodes reachable from live external Refs (terminal

@@ -210,7 +210,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
           "gc": true,                       // automatic BDD garbage collection
           "auto_reorder": false,            // automatic in-place sifting
           "workers": 4,                     // multi-process shard execution
-          "snapshot": "kernels.json",       // kernel snapshot cache file
+          "store": "kernels/",              // kernel snapshot store directory
           "deadline_ms": 60000,             // whole-battery wall-clock budget
           "query_timeout_ms": 5000,         // default per-query budget
           "shard_retries": 2,               // crashed/hung shard resubmits
@@ -236,11 +236,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         }
 
     ``--workers N`` (or the file's ``workers`` key; the flag wins) fans
-    the battery out over N worker processes.  ``--snapshot PATH`` warm
-    starts from a kernel-snapshot file when it exists and creates it
-    (after prewarming the scenario trees) when it does not, so the
-    second run of a battery skips tree translation everywhere —
-    including inside the workers.
+    the battery out over N worker processes.  ``--store DIR`` (or the
+    file's ``store`` key) is the content-addressed kernel-snapshot
+    directory that ``bfl serve --store`` uses too, one
+    ``<fingerprint>.snap`` entry per tree.  Per scenario, a store hit
+    warm-starts the session; a miss is translated up front and put into
+    the store before the battery runs.  Either way this run's workers
+    warm-start, and the next run (or a server on the same directory)
+    skips tree translation.
 
     ``variants`` declares copy-on-write what-if scenarios: each entry
     names a base scenario (default ``"default"``) plus an edit script
@@ -256,9 +259,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     errored (the report still lists all of them), 2 on a malformed file.
     """
     import json
-    import os
 
-    from .service import BatchAnalyzer, read_snapshot_file, write_snapshot_file
+    from .service import BatchAnalyzer, SnapshotStore, tree_fingerprint
     from .service.queries import QuerySpecError
 
     if args.list_kinds:
@@ -378,14 +380,23 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         lambda v: v > 0, "a positive duration in milliseconds",
     )
 
-    snapshot_path = args.snapshot or data.get("snapshot")
-    if snapshot_path is not None and not isinstance(snapshot_path, str):
+    if "snapshot" in data:
         raise QuerySpecError(
-            f"'snapshot' must be a file path, got {snapshot_path!r}"
+            "the query-file key 'snapshot' is gone: use 'store' (a "
+            "kernel-snapshot directory, shared with bfl serve --store)"
         )
-    snapshots = None
-    if snapshot_path and os.path.exists(snapshot_path):
-        snapshots = read_snapshot_file(snapshot_path)
+    store_path = args.store or data.get("store")
+    if store_path is not None and not isinstance(store_path, str):
+        raise QuerySpecError(
+            f"'store' must be a directory path, got {store_path!r}"
+        )
+    store = SnapshotStore(store_path) if store_path else None
+    snapshots = {}
+    if store is not None:
+        for name, tree in scenarios.items():
+            entry = store.get(tree_fingerprint(tree))
+            if entry is not None:
+                snapshots[name] = entry
 
     variants = data.get("variants", {})
     if not isinstance(variants, dict):
@@ -433,11 +444,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         ),
         watchdog_ms=watchdog_ms,
     )
-    if snapshot_path and snapshots is None:
-        # First run with a snapshot cache: translate the trees now so
-        # this run's workers warm-start too, then persist for the next.
-        analyzer.prewarm_trees()
-        write_snapshot_file(snapshot_path, analyzer.kernel_snapshots())
+    if store is not None:
+        # Store misses: translate the trees now so this run's workers
+        # warm-start too, then persist them for the next run.
+        misses = [name for name in scenarios if name not in snapshots]
+        analyzer.prewarm_trees(misses)
+        for name in misses:
+            store.put(
+                tree_fingerprint(scenarios[name]),
+                analyzer.session(name).kernel_snapshot(),
+            )
     report = analyzer.run(data["queries"])
     rendered = report.to_json(indent=2 if args.pretty else None)
     if args.output:
@@ -721,10 +737,13 @@ def build_parser() -> argparse.ArgumentParser:
         "'workers' key)",
     )
     p_batch.add_argument(
-        "--snapshot",
-        help="kernel snapshot cache: load it when the file exists, "
-        "create it otherwise, so repeat runs (and this run's workers) "
-        "skip fault-tree translation",
+        "--store",
+        metavar="DIR",
+        help="content-addressed kernel-snapshot directory, the same "
+        "layout as bfl serve --store: scenarios found there warm-start, "
+        "the rest are translated and stored before the run, so repeat "
+        "runs (and this run's workers) skip fault-tree translation "
+        "(overrides the query file's 'store' key)",
     )
     p_batch.add_argument(
         "--variants",

@@ -17,7 +17,7 @@ tree: stakeholders ask whole batteries of MCS/MPS/IDP/check queries
 * optionally fanning a battery out over a multi-process worker pool
   (``BatchAnalyzer(workers=N)``) with deterministic shard planning and
   merging, warm-starting workers from portable kernel snapshots
-  (:mod:`repro.service.parallel`, ``bfl batch --workers/--snapshot``).
+  (:mod:`repro.service.parallel`, ``bfl batch --workers/--store``).
 
 Quickstart::
 
@@ -35,13 +35,7 @@ Quickstart::
 """
 
 from .batch import AnalysisSession, BatchAnalyzer, tree_fingerprint
-from .parallel import (
-    Shard,
-    estimate_cost,
-    plan_shards,
-    read_snapshot_file,
-    write_snapshot_file,
-)
+from .parallel import Shard, estimate_cost, plan_shards
 from .pool import SessionPool, build_session, resolve_overrides
 from .queries import BatchReport, QueryResult, QuerySpec, specs_from_any
 from .server import AnalysisServer, ServerConfig, TokenBucket
@@ -62,9 +56,7 @@ __all__ = [
     "build_session",
     "estimate_cost",
     "plan_shards",
-    "read_snapshot_file",
     "resolve_overrides",
     "specs_from_any",
     "tree_fingerprint",
-    "write_snapshot_file",
 ]

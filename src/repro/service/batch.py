@@ -317,20 +317,14 @@ class AnalysisSession:
             child_tt.adopt({new_tree.top: parent_tt.splice(site, subtree)})
         return child
 
-    def kernel_snapshot(self, *, binary: bool = False) -> Dict[str, Any]:
+    def kernel_snapshot(self) -> Dict[str, Any]:
         """Portable kernel snapshot of this session's manager, rooted at
         every element BDD translated so far (the reusable, per-tree part
         of the session — formula combinations are cheap to redo and are
-        keyed on ASTs a snapshot cannot name).
-
-        ``binary=True`` selects the zero-copy v2 array encoding (raw
-        ``bytes`` columns a worker adopts as buffers without per-node
-        decoding) — right for pickled worker payloads, wrong for JSON
-        snapshot files, which stay on the list-based v1 layout."""
+        keyed on ASTs a snapshot cannot name)."""
         translator = self.checker.translator
         return self.checker.manager.save_snapshot(
-            roots=translator.tree_translator.export_cache(),
-            binary=binary,
+            roots=translator.tree_translator.export_cache()
         )
 
     def snapshot(self) -> Dict[str, Any]:
@@ -381,9 +375,10 @@ class BatchAnalyzer:
             are merged back in battery order, so reports agree
             query-for-query with a sequential run.
         snapshots: Optional scenario-name -> kernel-snapshot mapping (as
-            produced by :meth:`kernel_snapshots` or loaded from a ``bfl
-            batch --snapshot`` file) to warm-start sessions from; each
-            entry's tree fingerprint must match the scenario's tree.
+            produced by :meth:`kernel_snapshots` or read from a
+            :class:`~repro.service.store.SnapshotStore`) to warm-start
+            sessions from; each entry's tree fingerprint must match the
+            scenario's tree.
         variants: Optional variant-name -> definition mapping, the
             programmatic face of the query-file ``variants:`` key.  Each
             definition is ``{"base": scenario, "edits": [...],
@@ -858,12 +853,12 @@ class BatchAnalyzer:
             return run_parallel(self, specs)
         return self._run_specs(specs)
 
-    def prewarm_trees(self) -> None:
-        """Translate every scenario's tree up front (``Psi_FT`` of the
-        top event caches every element on the way), so
-        :meth:`kernel_snapshots` — and the worker payloads built from
-        the sessions — carry the full per-tree BDDs."""
-        for name in self._trees:
+    def prewarm_trees(self, names: Optional[Sequence[str]] = None) -> None:
+        """Translate every scenario's tree (or just the ``names`` ones)
+        up front (``Psi_FT`` of the top event caches every element on
+        the way), so :meth:`kernel_snapshots` — and the worker payloads
+        built from the sessions — carry the full per-tree BDDs."""
+        for name in self._trees if names is None else names:
             session = self.session(name)
             session.checker.translator.tree_translator.element(
                 session.tree.top
@@ -871,11 +866,12 @@ class BatchAnalyzer:
 
     def kernel_snapshots(self) -> Dict[str, Dict[str, Any]]:
         """Per-scenario kernel snapshots (plus tree fingerprints), in
-        the shape the ``snapshots=`` constructor argument and the ``bfl
-        batch --snapshot`` file expect.  Variant scenarios are omitted:
-        their sessions share the base kernel and are re-forked from it
-        in a few compose calls, so persisting a second copy of the node
-        store would only bloat the snapshot file."""
+        the shape the ``snapshots=`` constructor argument and
+        :meth:`SnapshotStore.get <repro.service.store.SnapshotStore.get>`
+        share.  Variant scenarios are omitted: their sessions share the
+        base kernel and are re-forked from it in a few compose calls, so
+        persisting a second copy of the node store would only bloat the
+        store."""
         return {
             name: {
                 "tree": tree_fingerprint(self._trees[name]),
@@ -907,12 +903,9 @@ class BatchAnalyzer:
                 session is not None
                 and session.checker.translator.tree_translator.cached_elements
             ):
-                # Worker payloads travel by pickle, so the binary v2
-                # encoding applies: workers adopt the raw array columns
-                # as buffers instead of decoding node lists.
                 snapshots[name] = {
                     "tree": tree_fingerprint(session.tree),
-                    "kernel": session.kernel_snapshot(binary=True),
+                    "kernel": session.kernel_snapshot(),
                 }
             elif name in self._snapshots:
                 snapshots[name] = dict(self._snapshots[name])

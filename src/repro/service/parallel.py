@@ -51,7 +51,6 @@ mid-shard and delay shards without any test-only branches elsewhere.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
@@ -61,19 +60,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..engine import REGISTRY
-from ..errors import SnapshotError, WorkerCrashError, error_kind
+from ..errors import WorkerCrashError, error_kind
 from ..ft.tree import FaultTree
 from ..logic.parser import format_statement
 from .queries import BatchReport, QueryResult, QuerySpec
 
 #: Ceiling on the exponential shard-retry backoff.
 _MAX_BACKOFF_MS = 5000.0
-
-#: Marker / version of the multi-scenario snapshot-set file written by
-#: ``bfl batch --snapshot`` (one kernel snapshot per scenario, each
-#: paired with a tree fingerprint so a stale file fails loudly).
-SNAPSHOT_SET_FORMAT = "repro-service-snapshots"
-SNAPSHOT_SET_VERSION = 1
 
 # ----------------------------------------------------------------------
 # Cost model and shard planning
@@ -606,74 +599,3 @@ def merge_reports(
     return BatchReport(
         results=tuple(merged), stats=stats, elapsed_ms=elapsed_ms
     )
-
-
-# ----------------------------------------------------------------------
-# Snapshot-set persistence (the `bfl batch --snapshot` file format)
-# ----------------------------------------------------------------------
-
-
-def write_snapshot_file(
-    path: str, snapshots: Mapping[str, Mapping[str, Any]]
-) -> None:
-    """Write a scenario -> kernel-snapshot set as one JSON file.
-
-    ``snapshots`` is what :meth:`BatchAnalyzer.kernel_snapshots`
-    returns: per scenario, a ``tree`` fingerprint plus the ``kernel``
-    snapshot from ``BDDManager.save_snapshot``.
-    """
-    data = {
-        "format": SNAPSHOT_SET_FORMAT,
-        "version": SNAPSHOT_SET_VERSION,
-        "scenarios": {name: dict(snap) for name, snap in snapshots.items()},
-    }
-    # Atomic replace: an interrupted run must never leave a truncated
-    # file behind (the CLI treats an existing file as load-only, so a
-    # half-written snapshot would wedge every later --snapshot run).
-    tmp_path = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-            handle.write("\n")
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def read_snapshot_file(path: str) -> Dict[str, Dict[str, Any]]:
-    """Load a snapshot-set file back into the ``snapshots`` mapping
-    :class:`BatchAnalyzer` accepts.
-
-    Raises:
-        SnapshotError: If the file is unreadable, not JSON, or not a
-            snapshot set.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(
-            f"snapshot file {path!r} is not valid JSON: {exc}"
-        ) from exc
-    if (
-        not isinstance(data, dict)
-        or data.get("format") != SNAPSHOT_SET_FORMAT
-    ):
-        raise SnapshotError(
-            f"{path!r} is not a batch snapshot file "
-            f"(expected format {SNAPSHOT_SET_FORMAT!r})"
-        )
-    if data.get("version") != SNAPSHOT_SET_VERSION:
-        raise SnapshotError(
-            f"unsupported snapshot-set version {data.get('version')!r}"
-        )
-    scenarios = data.get("scenarios")
-    if not isinstance(scenarios, dict):
-        raise SnapshotError("snapshot file has no 'scenarios' mapping")
-    return {str(name): snap for name, snap in scenarios.items()}

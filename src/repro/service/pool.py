@@ -24,7 +24,7 @@ session's PFL answers are not).  Entries carry the tree fingerprint
 separately so an evicted session can be persisted into a
 :class:`~repro.service.store.SnapshotStore` under its content address:
 eviction demotes a scenario from the hot tier (live kernel) to the warm
-tier (binary snapshot on disk), from which the next request rewarms it
+tier (kernel snapshot on disk), from which the next request rewarms it
 via ``load_snapshot`` instead of a cold rebuild.
 
 Pinning makes the pool safe under concurrency: a battery pins every
@@ -165,8 +165,8 @@ class SessionPool:
             shed as pins release.
         store: Optional :class:`~repro.service.store.SnapshotStore`.
             When given, an evicted entry that knows its tree fingerprint
-            is snapshotted (binary v2 encoding) into the store before it
-            is dropped, so the scenario stays warm-startable.
+            is snapshotted into the store before it is dropped, so the
+            scenario stays warm-startable.
 
     All methods are thread-safe; the pool is shared between the server's
     event loop and its worker threads.
@@ -265,10 +265,7 @@ class SessionPool:
         if self.store is None or entry.fingerprint is None:
             return False
         try:
-            self.store.put(
-                entry.fingerprint,
-                entry.session.kernel_snapshot(binary=True),
-            )
+            self.store.put(entry.fingerprint, entry.session.kernel_snapshot())
         except OSError as exc:
             logger.warning(
                 "session pool: persisting %s failed: %s", entry.key, exc

@@ -8,7 +8,7 @@ actually wants: fault trees are registered once at startup, live
 :class:`~repro.service.pool.SessionPool`, and evicted or cold scenarios
 warm-start from a content-addressed
 :class:`~repro.service.store.SnapshotStore` instead of re-running
-Algorithm 1 — the three-tier lifecycle (live kernel / binary snapshot /
+Algorithm 1 — the three-tier lifecycle (live kernel / kernel snapshot /
 cold tree) that ``benchmarks/bench_server.py`` gates at >= 10x.
 
 The HTTP surface is stdlib ``asyncio`` only (mirroring the kernel's
@@ -343,8 +343,13 @@ class AnalysisServer:
                 "bfl serve: persisted %d session(s) to the store",
                 persisted,
             )
-        for connection in list(self._connections):
+        connections = list(self._connections)
+        for connection in connections:
             connection.cancel()
+        # Let every handler finish closing its socket before the loop
+        # stops: a handler still in ``wait_closed`` when ``asyncio.run``
+        # tears down would be cancelled a second time and logged.
+        await asyncio.gather(*connections, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
         if self._stopped is not None:

@@ -1,21 +1,22 @@
-"""Content-addressed on-disk snapshot store (the server's warm cache tier).
+"""Content-addressed on-disk snapshot store (the warm cache tier).
 
 A :class:`SnapshotStore` is a directory of kernel snapshots keyed by the
 PR-5 sha256 Galileo tree fingerprint
 (:func:`repro.service.batch.tree_fingerprint`): one file per distinct
-tree, named ``<fingerprint>.json``.  Content addressing makes the store
+tree, named ``<fingerprint>.snap``.  Content addressing makes the store
 self-validating — an entry can only ever warm-start a scenario whose
 tree hashes to the same fingerprint, so renamed scenarios, edited trees
-and multi-tenant servers all share one cache directory safely.
+and multi-tenant servers all share one cache directory safely.  Both
+``bfl serve --store`` and ``bfl batch --store`` read and write it.
 
-Entries hold the *binary* (v2) kernel snapshot from
-:meth:`~repro.bdd.manager.BDDManager.save_snapshot` — raw int64 column
-bytes that load via buffer adoption instead of per-node decoding — with
-the ``bytes`` payloads base64-wrapped so the file stays JSON.  The v2
-sha256 content checksum is computed over the raw columns and survives
-the wrapping, so on-disk bit rot is still caught at load time
-(:class:`~repro.errors.SnapshotIntegrityError`) and the caller degrades
-to a cold build.
+Each entry is the kernel snapshot from
+:meth:`~repro.bdd.manager.BDDManager.save_snapshot` in the kernel's one
+file encoding (:func:`~repro.bdd.manager.encode_snapshot`): a JSON
+header line, which also carries the ``tree`` fingerprint, followed by
+the raw int64 columns that load via buffer adoption.  The snapshot's
+sha256 content checksum covers the columns, so on-disk bit rot is
+caught at load time (:class:`~repro.errors.SnapshotIntegrityError`) and
+the caller degrades to a cold build.
 
 The store is deliberately dumb: ``get``/``put``/``delete`` plus stats.
 Which entries exist when, and what happens on corruption, is decided by
@@ -25,45 +26,14 @@ existing degrade-to-cold machinery.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..bdd.manager import decode_snapshot, encode_snapshot
 from ..errors import SnapshotError
 
-__all__ = ["SnapshotStore", "STORE_FORMAT", "STORE_VERSION"]
-
-#: ``format`` stamp of a store entry file.
-STORE_FORMAT = "bfl-kernel-store"
-#: Entry layout version (bump on incompatible changes).
-STORE_VERSION = 1
-
-#: Marker key for base64-wrapped ``bytes`` payloads inside an entry.
-_B64_KEY = "__bytes_b64__"
-
-
-def _encode(value: Any) -> Any:
-    """JSON-safe copy of a snapshot payload (bytes -> base64 wrapper)."""
-    if isinstance(value, (bytes, bytearray)):
-        return {_B64_KEY: base64.b64encode(bytes(value)).decode("ascii")}
-    if isinstance(value, dict):
-        return {key: _encode(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    return value
-
-
-def _decode(value: Any) -> Any:
-    """Inverse of :func:`_encode` (base64 wrappers -> bytes)."""
-    if isinstance(value, dict):
-        if set(value) == {_B64_KEY}:
-            return base64.b64decode(value[_B64_KEY])
-        return {key: _decode(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode(item) for item in value]
-    return value
+__all__ = ["SnapshotStore"]
 
 
 def _is_fingerprint(text: str) -> bool:
@@ -84,11 +54,12 @@ class SnapshotStore:
 
     Entries are written atomically (tmp file + ``os.replace``), so a
     crashed or drained server never leaves a truncated entry behind.
-    A *malformed* entry file (bad JSON, wrong format stamp) is treated
-    as a cache miss — :meth:`get` returns ``None`` and counts it under
-    ``stats()["malformed"]`` — while an entry whose *payload* is corrupt
-    (checksum mismatch) is surfaced later, by the kernel's own integrity
-    check, when the caller tries to load it.
+    A *malformed* entry file (bad framing, or a header ``tree`` that is
+    not the file's fingerprint) is treated as a cache miss — :meth:`get`
+    returns ``None`` and counts it under ``stats()["malformed"]`` — while
+    an entry whose *payload* is corrupt (checksum mismatch) is surfaced
+    later, by the kernel's own integrity check, when the caller tries to
+    load it.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -102,56 +73,44 @@ class SnapshotStore:
     # Entry access
     # ------------------------------------------------------------------
 
-    def _entry_path(self, fingerprint: str) -> Path:
+    def entry_path(self, fingerprint: str) -> Path:
+        """The file that holds (or would hold) ``fingerprint``'s entry."""
         if not _is_fingerprint(fingerprint):
             raise SnapshotError(
                 f"not a tree fingerprint: {fingerprint!r} (expected a "
                 "sha256 hex digest)"
             )
-        return self.path / f"{fingerprint}.json"
+        return self.path / f"{fingerprint}.snap"
 
     def get(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The stored entry for ``fingerprint``, in the exact shape
         :class:`~repro.service.batch.BatchAnalyzer` accepts as a
         ``snapshots=`` value (``{"tree": fingerprint, "kernel": ...}``),
         or ``None`` when absent or unreadable."""
-        entry_path = self._entry_path(fingerprint)
+        entry_path = self.entry_path(fingerprint)
         try:
-            with open(entry_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+            kernel = decode_snapshot(entry_path.read_bytes())
         except FileNotFoundError:
             self._misses += 1
             return None
-        except (OSError, json.JSONDecodeError, ValueError):
+        except (OSError, SnapshotError):
             self._malformed += 1
             return None
-        if (
-            not isinstance(data, dict)
-            or data.get("format") != STORE_FORMAT
-            or data.get("version") != STORE_VERSION
-            or data.get("tree") != fingerprint
-            or "kernel" not in data
-        ):
+        if kernel.pop("tree", None) != fingerprint:
             self._malformed += 1
             return None
         self._hits += 1
-        return {"tree": fingerprint, "kernel": _decode(data["kernel"])}
+        return {"tree": fingerprint, "kernel": kernel}
 
     def put(self, fingerprint: str, kernel: Dict[str, Any]) -> Path:
         """Persist a kernel snapshot under ``fingerprint`` (atomic)."""
-        entry_path = self._entry_path(fingerprint)
+        entry_path = self.entry_path(fingerprint)
         self.path.mkdir(parents=True, exist_ok=True)
-        data = {
-            "format": STORE_FORMAT,
-            "version": STORE_VERSION,
-            "tree": fingerprint,
-            "kernel": _encode(kernel),
-        }
+        data = encode_snapshot(kernel, tree=fingerprint)
         tmp_path = f"{entry_path}.tmp.{os.getpid()}"
         try:
-            with open(tmp_path, "w", encoding="utf-8") as handle:
-                json.dump(data, handle)
-                handle.write("\n")
+            with open(tmp_path, "wb") as handle:
+                handle.write(data)
             os.replace(tmp_path, entry_path)
         except BaseException:
             try:
@@ -165,14 +124,14 @@ class SnapshotStore:
     def delete(self, fingerprint: str) -> bool:
         """Drop the entry for ``fingerprint``; True when one existed."""
         try:
-            os.unlink(self._entry_path(fingerprint))
+            os.unlink(self.entry_path(fingerprint))
             return True
         except FileNotFoundError:
             return False
 
     def __contains__(self, fingerprint: str) -> bool:
         try:
-            return self._entry_path(fingerprint).is_file()
+            return self.entry_path(fingerprint).is_file()
         except SnapshotError:
             return False
 
@@ -182,7 +141,7 @@ class SnapshotStore:
             return []
         return sorted(
             entry.stem
-            for entry in self.path.glob("*.json")
+            for entry in self.path.glob("*.snap")
             if _is_fingerprint(entry.stem)
         )
 
@@ -192,7 +151,7 @@ class SnapshotStore:
         total_bytes = 0
         for fingerprint in entries:
             try:
-                total_bytes += self._entry_path(fingerprint).stat().st_size
+                total_bytes += self.entry_path(fingerprint).stat().st_size
             except OSError:
                 pass
         return {

@@ -44,6 +44,7 @@ import random
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..bdd.manager import decode_snapshot, encode_snapshot
 from ..runtime.limits import Governor
 
 __all__ = [
@@ -142,13 +143,14 @@ def corrupt_snapshot(
 ) -> Dict[str, Any]:
     """Return a copy of *snapshot* with deterministically flipped bytes.
 
-    Targets the first column payload it finds (``bytes`` for v2
-    snapshots, an int list for v1), leaving the stored ``sha256``
-    untouched — exactly the shape of on-disk bit rot the integrity
-    check exists to catch.  Flips are drawn from ``random.Random(seed)``
-    so a failing chaos run reproduces byte-for-byte.  Service-level
-    entries (``BatchAnalyzer.kernel_snapshots``) nest the kernel payload
-    under a ``"kernel"`` key; that wrapper is handled transparently.
+    Targets the first non-empty ``bytes`` value — a node column, the
+    only raw bytes a snapshot holds — leaving the stored ``sha256``
+    untouched: exactly the shape of on-disk bit rot the integrity check
+    exists to catch.  Flips are drawn from
+    ``random.Random(seed)`` so a failing chaos run reproduces
+    byte-for-byte.  Service-level entries
+    (``BatchAnalyzer.kernel_snapshots``) nest the kernel payload under a
+    ``"kernel"`` key; that wrapper is handled transparently.
     """
     if "kernel" in snapshot and isinstance(snapshot["kernel"], Mapping):
         wrapper = dict(snapshot)
@@ -158,23 +160,13 @@ def corrupt_snapshot(
         return wrapper
     corrupted: Dict[str, Any] = dict(snapshot)
     rng = random.Random(seed)
-    for key in ("levels", "lows", "highs"):
-        column = corrupted.get(key)
+    for key, column in snapshot.items():
         if isinstance(column, (bytes, bytearray)) and len(column) > 0:
             mutable = bytearray(column)
             for _ in range(max(1, flips)):
                 position = rng.randrange(len(mutable))
                 mutable[position] ^= 1 + rng.randrange(255)
             corrupted[key] = bytes(mutable)
-            return corrupted
-        if isinstance(column, list) and column:
-            mutated = list(column)
-            for _ in range(max(1, flips)):
-                position = rng.randrange(len(mutated))
-                item = mutated[position]
-                if isinstance(item, int):
-                    mutated[position] = item ^ (1 + rng.randrange(255))
-            corrupted[key] = mutated
             return corrupted
     raise ValueError("snapshot has no column payload to corrupt")
 
@@ -185,24 +177,17 @@ def corrupt_store_entry(
     """Bit-rot one :class:`~repro.service.store.SnapshotStore` entry
     in place.
 
-    The rewritten file stays valid JSON with a valid format stamp — only
-    the kernel's column bytes are flipped (via :func:`corrupt_snapshot`)
-    — so the corruption is *not* caught by the store's shape checks and
+    The rewritten file keeps valid framing and header — only the
+    kernel's column bytes are flipped (via :func:`corrupt_snapshot`) —
+    so the corruption is *not* caught by the store's shape checks and
     must instead surface as the kernel's sha256 integrity failure when a
     server (or analyzer) tries to warm-start from it.  That is the
     production path this hook exists to exercise: a long-lived daemon
     whose warm tier rotted underneath it has to degrade to a cold build
     and keep answering.
     """
-    from ..service.store import _decode, _encode
-
-    entry_path = store.path / f"{fingerprint}.json"
-    with open(entry_path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    kernel = _decode(data["kernel"])
-    data["kernel"] = _encode(
-        corrupt_snapshot(kernel, seed=seed, flips=flips)
+    entry_path = store.entry_path(fingerprint)
+    entry = decode_snapshot(entry_path.read_bytes())
+    entry_path.write_bytes(
+        encode_snapshot(corrupt_snapshot(entry, seed=seed, flips=flips))
     )
-    with open(entry_path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
-        handle.write("\n")

@@ -9,9 +9,10 @@ it:
 * hypothesis cross-validation against :class:`ReferenceSemantics` with
   ``collect()`` / ``sift_inplace()`` / ``move_to_level()`` interleaved
   between checks — the operations that rewire or reclaim slots;
-* snapshot round-trips over the array format: complement roots, stores
-  with post-GC holes, stores that resized the unique table, and the
-  binary (v2) payload including its byteorder guard;
+* snapshot round-trips over the array format (numpy and pure-Python
+  save/load paths): complement roots, stores with post-GC holes, stores
+  that resized the unique table, the byteorder guard, and the rejection
+  of the retired version-1 list payload;
 * ``probability_many`` (single- and multi-root, numpy and pure-Python
   fallback) against column-by-column :meth:`probability` calls;
 * the open-addressed observability counters surfaced in
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import gc as pygc
 import itertools
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,7 +119,7 @@ class TestArraySnapshotRoundTrips:
     def test_complement_roots_round_trip_binary(self):
         manager = BDDManager(["x", "y", "z"])
         f = manager.or_(manager.var("x"), manager.and_(manager.var("y"), manager.var("z")))
-        snapshot = manager.save_snapshot(roots={"f": f, "nf": ~f}, binary=True)
+        snapshot = manager.save_snapshot(roots={"f": f, "nf": ~f})
         assert snapshot["version"] == 2
         assert isinstance(snapshot["levels"], bytes)
         reloaded, roots = BDDManager.load_snapshot(snapshot)
@@ -132,10 +134,12 @@ class TestArraySnapshotRoundTrips:
                 roots["f"], vector
             )
 
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_post_gc_holes_compact_away(self, binary):
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_post_gc_holes_compact_away(self, use_numpy, monkeypatch):
+        if not use_numpy:
+            monkeypatch.setattr(_nputil, "np", None)
         manager, keep, _ = _holes_manager()
-        snapshot = manager.save_snapshot(roots={"keep": keep}, binary=binary)
+        snapshot = manager.save_snapshot(roots={"keep": keep})
         reloaded, roots = BDDManager.load_snapshot(snapshot)
         reloaded.check_invariants()
         # The reloaded store is dense: exactly the reachable nodes plus
@@ -147,8 +151,10 @@ class TestArraySnapshotRoundTrips:
                 keep, vector
             )
 
-    @pytest.mark.parametrize("binary", [False, True])
-    def test_resized_unique_table_round_trips(self, binary):
+    @pytest.mark.parametrize("use_numpy", [False, True])
+    def test_resized_unique_table_round_trips(self, use_numpy, monkeypatch):
+        if not use_numpy:
+            monkeypatch.setattr(_nputil, "np", None)
         # Enough distinct nodes to force open-addressed growth past the
         # initial capacity (load is kept <= 1/2).
         names = [f"v{i:02d}" for i in range(24)]
@@ -161,7 +167,7 @@ class TestArraySnapshotRoundTrips:
             acc = manager.or_(acc, pair)
         before = manager.cache_stats()
         assert before["unique_capacity"] >= 1024
-        snapshot = manager.save_snapshot(roots={"acc": acc}, binary=binary)
+        snapshot = manager.save_snapshot(roots={"acc": acc})
         reloaded, roots = BDDManager.load_snapshot(snapshot)
         reloaded.check_invariants()
         stats = reloaded.cache_stats()
@@ -173,23 +179,32 @@ class TestArraySnapshotRoundTrips:
         vector[names[0]] = vector[names[1]] = True
         assert reloaded.evaluate(roots["acc"], vector) is True
 
-    def test_binary_and_list_snapshots_agree(self):
+    def test_numpy_and_pure_paths_save_identical_bytes(self, monkeypatch):
         manager, keep, _ = _holes_manager()
-        v1 = manager.save_snapshot(roots={"keep": keep})
-        v2 = manager.save_snapshot(roots={"keep": keep}, binary=True)
-        m1, r1 = BDDManager.load_snapshot(v1)
-        m2, r2 = BDDManager.load_snapshot(v2)
-        assert m1.node_count() == m2.node_count()
-        for bits in itertools.product((False, True), repeat=5):
-            vector = dict(zip(("a", "b", "c", "d", "e"), bits))
-            assert m1.evaluate(r1["keep"], vector) == m2.evaluate(
-                r2["keep"], vector
-            )
+        rooted = manager.save_snapshot(roots={"keep": keep})
+        full = manager.save_snapshot()
+        monkeypatch.setattr(_nputil, "np", None)
+        assert manager.save_snapshot(roots={"keep": keep}) == rooted
+        assert manager.save_snapshot() == full
+
+    def test_version_1_is_rejected(self):
+        manager, keep, _ = _holes_manager()
+        snapshot = manager.save_snapshot(roots={"keep": keep})
+        legacy = {
+            **snapshot,
+            "version": 1,
+            "levels": list(array("q", snapshot["levels"])),
+            "lows": list(array("q", snapshot["lows"])),
+            "highs": list(array("q", snapshot["highs"])),
+        }
+        legacy["sha256"] = "0" * 64
+        with pytest.raises(SnapshotError, match="version 1"):
+            BDDManager.load_snapshot(legacy)
 
     def test_foreign_byteorder_is_rejected(self):
         manager = BDDManager(["x"])
         f = manager.var("x")
-        snapshot = manager.save_snapshot(roots={"f": f}, binary=True)
+        snapshot = manager.save_snapshot(roots={"f": f})
         snapshot["byteorder"] = (
             "big" if snapshot["byteorder"] == "little" else "little"
         )
@@ -199,7 +214,7 @@ class TestArraySnapshotRoundTrips:
     def test_truncated_binary_column_is_rejected(self):
         manager = BDDManager(["x", "y"])
         f = manager.and_(manager.var("x"), manager.var("y"))
-        snapshot = manager.save_snapshot(roots={"f": f}, binary=True)
+        snapshot = manager.save_snapshot(roots={"f": f})
         snapshot["lows"] = snapshot["lows"][:-8]
         with pytest.raises(SnapshotError):
             BDDManager.load_snapshot(snapshot)
@@ -323,7 +338,7 @@ class TestInvariantsAfterEverything:
         manager.check_invariants()
         manager.sift_inplace(max_rounds=1)
         manager.check_invariants()
-        snapshot = manager.save_snapshot(roots={"top": top}, binary=True)
+        snapshot = manager.save_snapshot(roots={"top": top})
         reloaded, roots = BDDManager.load_snapshot(snapshot)
         reloaded.check_invariants()
         vector = {name: True for name in tree.basic_events}

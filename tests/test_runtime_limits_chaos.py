@@ -31,7 +31,11 @@ from hypothesis import strategies as st
 
 from bfl_strategies import small_trees
 from repro.bdd import BDDManager
-from repro.bdd.manager import snapshot_checksum
+from repro.bdd.manager import (
+    decode_snapshot,
+    encode_snapshot,
+    snapshot_checksum,
+)
 from repro.errors import (
     ExecutionError,
     QueryDeadlineError,
@@ -347,15 +351,16 @@ class TestSnapshotIntegrity:
         reloaded.check_invariants()
         assert "top" in roots
 
-    def test_json_round_trip_still_validates(self):
+    def test_codec_round_trip_still_validates(self):
         _, snapshot = _snapshot_of(figure1_tree())
-        portable = json.loads(json.dumps(snapshot))
+        portable = decode_snapshot(encode_snapshot(snapshot))
+        assert portable == snapshot
         reloaded, _ = BDDManager.load_snapshot(portable)
         reloaded.check_invariants()
 
     def test_corruption_detected(self):
         _, snapshot = _snapshot_of(figure1_tree())
-        portable = json.loads(json.dumps(snapshot))
+        portable = decode_snapshot(encode_snapshot(snapshot))
         bad = corrupt_snapshot(portable, seed=3, flips=1)
         with pytest.raises(SnapshotIntegrityError) as excinfo:
             BDDManager.load_snapshot(bad)
@@ -364,18 +369,17 @@ class TestSnapshotIntegrity:
 
     def test_truncation_detected(self):
         _, snapshot = _snapshot_of(figure1_tree())
-        portable = json.loads(json.dumps(snapshot))
-        truncated = dict(portable)
-        truncated["lows"] = truncated["lows"][:-1]
+        truncated = dict(snapshot)
+        truncated["lows"] = truncated["lows"][:-8]
         with pytest.raises(SnapshotIntegrityError):
             BDDManager.load_snapshot(truncated)
 
-    def test_legacy_snapshot_without_checksum_loads(self):
+    def test_snapshot_without_checksum_is_rejected(self):
         _, snapshot = _snapshot_of(figure1_tree())
-        legacy = dict(json.loads(json.dumps(snapshot)))
-        legacy.pop("sha256")
-        reloaded, _ = BDDManager.load_snapshot(legacy)
-        reloaded.check_invariants()
+        unsigned = dict(snapshot)
+        unsigned.pop("sha256")
+        with pytest.raises(SnapshotIntegrityError, match="no sha256"):
+            BDDManager.load_snapshot(unsigned)
 
     @settings(
         deadline=None,
@@ -385,8 +389,7 @@ class TestSnapshotIntegrity:
     @given(tree=small_trees(), seed=st.integers(0, 2**16))
     def test_single_flip_always_detected(self, tree, seed):
         _, snapshot = _snapshot_of(tree)
-        portable = json.loads(json.dumps(snapshot))
-        bad = corrupt_snapshot(portable, seed=seed, flips=1)
+        bad = corrupt_snapshot(snapshot, seed=seed, flips=1)
         with pytest.raises(SnapshotIntegrityError):
             BDDManager.load_snapshot(bad)
 
@@ -541,11 +544,10 @@ class TestChaosHarness:
 
     def test_corrupt_snapshot_is_deterministic(self):
         _, snapshot = _snapshot_of(figure1_tree())
-        portable = json.loads(json.dumps(snapshot))
-        first = corrupt_snapshot(portable, seed=5)
-        second = corrupt_snapshot(portable, seed=5)
+        first = corrupt_snapshot(snapshot, seed=5)
+        second = corrupt_snapshot(snapshot, seed=5)
         assert first == second
-        assert first != portable
+        assert first != snapshot
 
     def test_corrupt_snapshot_needs_a_column(self):
         with pytest.raises(ValueError):

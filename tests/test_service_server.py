@@ -25,12 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfl_strategies import small_trees
+from repro.cli import main as cli_main
+from repro.ft import dumps, figure1_tree
 from repro.service import (
     AnalysisServer,
     BatchAnalyzer,
     ServerConfig,
     SnapshotStore,
     TokenBucket,
+    tree_fingerprint,
 )
 from repro.service.server import ROUTES
 from repro.testing.chaos import corrupt_store_entry
@@ -327,6 +330,75 @@ class TestCacheTiers:
                 w["kind"] == "snapshot-integrity" for w in warnings
             )
 
+    def test_batch_store_warm_starts_server(self, covid, tmp_path, capsys):
+        """A directory written by ``bfl batch --store`` is a valid
+        ``bfl serve --store`` warm tier."""
+        store_dir = tmp_path / "kernels"
+        battery = {"queries": ALL_KINDS, "uniform": UNIFORM}
+        queries = tmp_path / "battery.json"
+        queries.write_text(json.dumps(battery))
+        assert cli_main(["batch", str(queries), "--store", str(store_dir)]) == 0
+        batch = json.loads(capsys.readouterr().out)
+        with running(covid) as cold_server:
+            _, cold, _ = cold_server.post("/battery", battery)
+        config = ServerConfig(port=0, store_path=str(store_dir))
+        with running(covid, config) as warm_server:
+            _, rewarm, _ = warm_server.post("/battery", battery)
+            assert warm_server.server._counters["rewarms"] == 1
+            _, stats, _ = warm_server.get("/stats")
+            assert stats["store"]["hits"] == 1
+        assert "warnings" not in rewarm["stats"]
+        expected = json.dumps(normalised(cold["results"]), sort_keys=True)
+        for rows in (rewarm["results"], batch["results"]):
+            assert json.dumps(normalised(rows), sort_keys=True) == expected
+
+    def test_server_drain_warm_starts_batch_store(
+        self, covid, tmp_path, capsys, monkeypatch
+    ):
+        """The reverse: a store persisted by the server's drain serves
+        every scenario of ``bfl batch --store`` from a hit."""
+        fig1 = figure1_tree()
+        (tmp_path / "fig1.dft").write_text(dumps(fig1))
+        store_dir = tmp_path / "kernels"
+        queries = [
+            {"id": "c-mcs", "kind": "mcs"},
+            {"id": "c-check", "formula": "forall (IS => MoT)"},
+            {"id": "f-mcs", "kind": "mcs", "tree": "fig1"},
+            {"id": "f-prob", "kind": "probability", "formula": fig1.top,
+             "tree": "fig1"},
+        ]
+        config = ServerConfig(port=0, store_path=str(store_dir))
+        with running({"default": covid, "fig1": fig1}, config) as server:
+            _, served, _ = server.post(
+                "/battery", {"queries": queries, "uniform": UNIFORM}
+            )
+        assert len(SnapshotStore(store_dir).fingerprints()) == 2
+
+        hits = []
+        get = SnapshotStore.get
+
+        def counting_get(self, fingerprint):
+            entry = get(self, fingerprint)
+            hits.append(entry is not None)
+            return entry
+
+        monkeypatch.setattr(SnapshotStore, "get", counting_get)
+        battery = tmp_path / "battery.json"
+        battery.write_text(
+            json.dumps(
+                {
+                    "trees": {"fig1": str(tmp_path / "fig1.dft")},
+                    "uniform": UNIFORM,
+                    "queries": queries,
+                }
+            )
+        )
+        assert cli_main(["batch", str(battery), "--store", str(store_dir)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert hits == [True, True]
+        assert "warnings" not in report["stats"]
+        assert normalised(report["results"]) == normalised(served["results"])
+
     @settings(max_examples=5, deadline=None)
     @given(tree=small_trees(), data=st.data())
     def test_rewarm_differential_on_random_trees(
@@ -456,33 +528,43 @@ class TestAdmission:
             TokenBucket(rate=1, burst=0)
 
 
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env.pop("REPRO_CHAOS", None)
+    return env
+
+
+def _spawn_serve(store_dir):
+    """``bfl serve --port 0 --store DIR`` as a child; returns
+    ``(process, port)`` once it is listening."""
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.cli",
+            "serve",
+            "--port",
+            "0",
+            "--store",
+            str(store_dir),
+        ],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    line = process.stdout.readline()
+    if "listening on http://127.0.0.1:" not in line:
+        process.kill()
+        raise AssertionError(line + process.communicate()[0])
+    return process, int(line.split("http://127.0.0.1:", 1)[1].split()[0])
+
+
 class TestCLIEndToEnd:
     def test_bfl_serve_subprocess_drains_on_sigterm(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(
-            Path(__file__).resolve().parent.parent / "src"
-        )
-        env.pop("REPRO_CHAOS", None)
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cli",
-                "serve",
-                "--port",
-                "0",
-                "--store",
-                str(tmp_path / "kernels"),
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
+        process, port = _spawn_serve(tmp_path / "kernels")
         try:
-            line = process.stdout.readline()
-            assert "listening on http://127.0.0.1:" in line
-            port = int(line.split("http://127.0.0.1:", 1)[1].split()[0])
             connection = http.client.HTTPConnection(
                 "127.0.0.1", port, timeout=30
             )
@@ -502,6 +584,38 @@ class TestCLIEndToEnd:
         assert process.returncode == 0
         assert "drained, exiting" in out
 
+    def test_sigterm_with_open_keep_alive_connection(self, covid, tmp_path):
+        """The drain cancels idle keep-alive handlers; each must finish
+        closing its socket before the loop stops, or the handler is
+        cancelled again inside ``wait_closed`` and logged."""
+        store_dir = tmp_path / "kernels"
+        process, port = _spawn_serve(store_dir)
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            connection.request(
+                "POST",
+                "/battery",
+                body=json.dumps({"queries": [{"kind": "mcs"}]}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            # The socket stays open across the signal.
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=30)
+        finally:
+            connection.close()
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0
+        assert "Traceback" not in out
+        assert "drained, exiting" in out
+        assert [entry.name for entry in store_dir.iterdir()] == [
+            f"{tree_fingerprint(covid)}.snap"
+        ]
+
 
 class TestDocsGate:
     """The docs drift gate, runnable from the suite as well as CI."""
@@ -520,6 +634,21 @@ class TestDocsGate:
 
         for check in docs_gate.CHECKS:
             assert check() == [], check.__name__
+
+    def test_doc_flags_catch_a_retired_flag(self, tmp_path):
+        import docs_gate
+
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "```bash\n"
+            "bfl batch queries.json --workers 4 --snapshot kernels.json\n"
+            "bfl serve --store kernels/ --port 8346  # --not-a-flag\n"
+            "```\n"
+            "Run `bfl batch --store DIR` or `bfl synth --json`.\n"
+        )
+        problems = docs_gate.check_doc_flags([doc])
+        assert len(problems) == 1
+        assert "README.md:2" in problems[0] and "--snapshot" in problems[0]
 
 
 class TestBatchPin:
