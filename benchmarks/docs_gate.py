@@ -1,6 +1,6 @@
 """Docs drift gate: generated-surface tables must match the live code.
 
-The repo's documentation contains three tables that restate machine
+The repo's documentation contains four tables that restate machine
 truth, plus a README whose command inventory tends to rot:
 
 * ``docs/dsl.md`` — the query-kind table between
@@ -13,6 +13,12 @@ truth, plus a README whose command inventory tends to rot:
   ``error_kind`` table between ``<!-- error-kinds:begin -->`` /
   ``<!-- error-kinds:end -->`` must list exactly the
   :class:`~repro.errors.ExecutionError` taxonomy.
+* ``docs/operations.md`` — the analysis-options table between
+  ``<!-- options:begin -->`` / ``<!-- options:end -->`` must list
+  exactly :func:`dataclasses.fields` of
+  :class:`~repro.service.options.AnalysisOptions`, in order, each with
+  its query-file key, ``bfl batch``/``bfl serve`` flag, HTTP field and
+  both defaults (API/``bfl batch`` and ``bfl serve``).
 * ``README.md`` — every ``bfl`` subcommand registered in
   :func:`repro.cli.build_parser` must appear (as ``bfl <name>``).
 * ``README.md`` and ``docs/*.md`` — every ``--flag`` shown after
@@ -41,6 +47,7 @@ if str(REPO / "src") not in sys.path:  # runnable without PYTHONPATH=src
     sys.path.insert(0, str(REPO / "src"))
 DOCS_DSL = REPO / "docs" / "dsl.md"
 DOCS_SERVER = REPO / "docs" / "server.md"
+DOCS_OPERATIONS = REPO / "docs" / "operations.md"
 README = REPO / "README.md"
 
 
@@ -166,8 +173,8 @@ def check_server_error_kinds() -> List[str]:
     return problems
 
 
-def _subcommand_options() -> Dict[str, Set[str]]:
-    """``bfl`` subcommand name -> its option strings (``--help`` too)."""
+def _subcommands() -> Dict[str, "argparse.ArgumentParser"]:
+    """``bfl`` subcommand name -> its parser."""
     import argparse
 
     from repro.cli import build_parser
@@ -175,11 +182,77 @@ def _subcommand_options() -> Dict[str, Set[str]]:
     for action in build_parser()._actions:  # noqa: SLF001 — argparse
         # has no public subcommand inventory; this is what it offers.
         if isinstance(action, argparse._SubParsersAction):
-            return {
-                name: set(sub._option_string_actions)
-                for name, sub in action.choices.items()
-            }
+            return dict(action.choices)
     return {}
+
+
+def _subcommand_options() -> Dict[str, Set[str]]:
+    """``bfl`` subcommand name -> its option strings (``--help`` too)."""
+    return {
+        name: set(sub._option_string_actions)  # noqa: SLF001
+        for name, sub in _subcommands().items()
+    }
+
+
+def check_options_table() -> List[str]:
+    """docs/operations.md options table vs ``AnalysisOptions``: fields
+    in order, query-file keys, flags, HTTP fields and defaults."""
+    import dataclasses
+    import enum
+    import json
+
+    from repro.service.options import AnalysisOptions
+    from repro.service.server import _BATTERY_OPTION_KEYS, SERVE_DEFAULTS
+
+    problems, rows = _marked_rows(
+        DOCS_OPERATIONS, "<!-- options:begin -->", "<!-- options:end -->"
+    )
+    if problems:
+        return problems
+    documented = {}
+    for row in rows:
+        cells = [
+            cell.strip().strip("`")
+            for cell in row.strip().strip("|").split("|")
+        ]
+        documented[cells[0]] = cells[1:]
+    fields = [spec.name for spec in dataclasses.fields(AnalysisOptions)]
+    if list(documented) != fields:
+        return [
+            f"operations.md options table lists {list(documented)} but "
+            f"AnalysisOptions has {fields}"
+        ]
+    parsers = _subcommands()
+
+    def flag(command: str, name: str) -> str:
+        flags = [
+            option
+            for action in parsers[command]._actions  # noqa: SLF001
+            if action.dest == name
+            for option in action.option_strings
+        ]
+        return ", ".join(flags) or "—"
+
+    def shown(value) -> str:
+        if isinstance(value, enum.Enum):
+            value = value.value
+        return json.dumps(value)
+
+    for name in fields:
+        live = [
+            AnalysisOptions.file_key(name) or "—",
+            flag("batch", name),
+            flag("serve", name),
+            name if name in _BATTERY_OPTION_KEYS else "—",
+            shown(getattr(AnalysisOptions(), name)),
+            shown(getattr(SERVE_DEFAULTS, name)),
+        ]
+        if documented[name] != live:
+            problems.append(
+                f"operations.md options row {name!r} drifted: documented "
+                f"{documented[name]} vs live {live}"
+            )
+    return problems
 
 
 def check_readme_subcommands() -> List[str]:
@@ -231,6 +304,7 @@ CHECKS = (
     check_dsl_kinds,
     check_server_endpoints,
     check_server_error_kinds,
+    check_options_table,
     check_readme_subcommands,
     check_doc_flags,
 )

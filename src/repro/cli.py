@@ -57,18 +57,127 @@ def _parse_bits(text: Optional[str]) -> Optional[List[int]]:
     return [int(part.strip()) for part in text.split(",")]
 
 
-def _add_tree_option(parser: argparse.ArgumentParser) -> None:
+def _add_tree_option(
+    parser: argparse.ArgumentParser, with_scope: bool = True
+) -> None:
     parser.add_argument(
         "--tree",
         default="covid",
         help="Galileo file, or 'covid' for the built-in Fig. 2 tree",
     )
-    parser.add_argument(
-        "--scope",
-        choices=[scope.value for scope in MinimalityScope],
-        default=MinimalityScope.SUPPORT.value,
-        help="MCS/MPS minimality scope (see DESIGN.md)",
-    )
+    if with_scope:
+        # bfl batch/serve take --scope from _ANALYSIS_FLAGS instead.
+        parser.add_argument(
+            "--scope",
+            choices=[scope.value for scope in MinimalityScope],
+            default=MinimalityScope.SUPPORT.value,
+            help="MCS/MPS minimality scope (see DESIGN.md)",
+        )
+
+
+#: The analysis flags of ``bfl batch`` and ``bfl serve``: (AnalysisOptions
+#: field, flag, commands that take it, argparse keywords).  Each flag
+#: stores into its field name and defaults to None, so a flag that was
+#: not given leaves the query-file key (or the command's default) in
+#: place — see :func:`_analysis_options` and docs/operations.md.
+_ANALYSIS_FLAGS = (
+    ("scope", "--scope", ("batch", "serve"), {
+        "choices": [scope.value for scope in MinimalityScope],
+        "help": "MCS/MPS minimality scope (default support; DESIGN.md)",
+    }),
+    ("auto_gc", "--gc", ("batch",), {
+        "action": "store_true",
+        "help": "arm automatic BDD garbage collection between queries "
+        "(counters under stats.scenarios.<name>.memory)",
+    }),
+    ("auto_gc", "--no-gc", ("serve",), {
+        "action": "store_false",
+        "help": "disable automatic BDD garbage collection (on by default "
+        "for the daemon: long-lived sessions accumulate dead nodes)",
+    }),
+    ("auto_reorder", "--auto-reorder", ("batch", "serve"), {
+        "action": "store_true",
+        "help": "arm automatic in-place variable reordering (Rudell "
+        "sifting) when live BDD nodes grow past the kernel trigger",
+    }),
+    ("uniform", "--uniform", ("batch", "serve"), {
+        "type": float,
+        "help": "uniform failure probability for PFL queries",
+    }),
+    ("probabilities", "--probabilities", ("serve",), {
+        "help": "per-event probabilities, e.g. 'IW=0.1,H1=0.02'",
+    }),
+    ("workers", "--workers", ("batch",), {
+        "type": int,
+        "help": "answer the battery over N worker processes (balanced "
+        "shards, deterministic merge)",
+    }),
+    ("deadline_ms", "--deadline", ("batch", "serve"), {
+        "type": float,
+        "metavar": "MS",
+        "help": "whole-battery wall-clock budget; queries that cannot "
+        "start before it expires fail with error_kind=deadline",
+    }),
+    ("query_timeout_ms", "--query-timeout", ("batch", "serve"), {
+        "type": float,
+        "metavar": "MS",
+        "help": "default per-query budget (a query's own timeout_ms "
+        "wins); an expired query fails with error_kind=deadline",
+    }),
+    ("shard_retries", "--shard-retries", ("batch",), {
+        "type": int,
+        "metavar": "N",
+        "help": "with --workers: resubmit a crashed or hung shard up to "
+        "N times (default 2)",
+    }),
+    ("retry_backoff_ms", "--retry-backoff", ("batch",), {
+        "type": float,
+        "metavar": "MS",
+        "help": "base delay before a shard retry, doubled each round "
+        "(default 250)",
+    }),
+    ("watchdog_ms", "--watchdog", ("batch",), {
+        "type": float,
+        "metavar": "MS",
+        "help": "with --workers: a shard with no result after MS is hung; "
+        "kill its pool and retry it (off by default)",
+    }),
+)
+
+
+def _add_analysis_flags(
+    parser: argparse.ArgumentParser, command: str
+) -> None:
+    for field, flag, commands, kwargs in _ANALYSIS_FLAGS:
+        if command in commands:
+            parser.add_argument(flag, dest=field, default=None, **kwargs)
+
+
+def _analysis_options(args: argparse.Namespace, data: dict, base=None):
+    """The :class:`~repro.service.options.AnalysisOptions` of a
+    ``bfl batch``/``bfl serve`` run: ``base`` (default: the API
+    defaults), then the query file's keys, then the flags given."""
+    from .service import AnalysisOptions
+
+    flags = {
+        field: getattr(args, field, None) for field, *_ in _ANALYSIS_FLAGS
+    }
+    if flags["probabilities"] is not None:
+        flags["probabilities"] = _parse_probability(flags["probabilities"])
+    return AnalysisOptions.from_mapping(data, flags, base)
+
+
+def _store_kernels(store, analyzer, names: Sequence[str]) -> None:
+    """Translate the ``names`` scenarios' trees and put their kernels
+    into ``store`` under the tree fingerprints."""
+    from .service import tree_fingerprint
+
+    analyzer.prewarm_trees(names)
+    for name in names:
+        store.put(
+            tree_fingerprint(analyzer.trees[name]),
+            analyzer.session(name).kernel_snapshot(),
+        )
 
 
 def _add_vector_options(parser: argparse.ArgumentParser) -> None:
@@ -260,6 +369,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """
     import json
 
+    from .errors import SnapshotIntegrityError
     from .service import BatchAnalyzer, SnapshotStore, tree_fingerprint
     from .service.queries import QuerySpecError
 
@@ -292,93 +402,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     scenarios = {"default": _load_tree(data.get("tree", args.tree))}
     for name, spec in extra_trees.items():
         scenarios[name] = _load_tree(spec)
-    try:
-        scope = MinimalityScope(data.get("scope", args.scope))
-    except ValueError as exc:
-        raise QuerySpecError(
-            f"unknown scope {data.get('scope')!r} (expected "
-            + " or ".join(s.value for s in MinimalityScope)
-            + ")"
-        ) from exc
-
-    # Memory-management knobs: CLI flags arm them; the query file can
-    # also request them (either source wins, so saved batteries are
-    # self-contained while ad-hoc runs stay one flag away).
-    auto_gc = bool(data.get("gc", False)) or args.gc
-    auto_reorder = bool(data.get("auto_reorder", False)) or args.auto_reorder
-    def _require_probability(label: str, value: object) -> None:
-        # bool is an int subclass: "uniform": true must not mean p = 1,
-        # and a quoted "0.02" must fail here, not as a TypeError deep in
-        # a per-query evaluation.
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not 0.0 <= value <= 1.0
-        ):
-            raise QuerySpecError(
-                f"{label} must be a probability in [0, 1], got {value!r}"
-            )
-
-    probabilities = data.get("probabilities", {})
-    if not isinstance(probabilities, dict):
-        raise QuerySpecError(
-            "'probabilities' must map event (or scenario) names to "
-            "probabilities"
-        )
-    for key, value in probabilities.items():
-        if isinstance(value, dict):  # per-scenario map
-            for event, p in value.items():
-                _require_probability(
-                    f"probability for {key!r}.{event!r}", p
-                )
-        else:
-            _require_probability(f"probability for {key!r}", value)
-    uniform = data.get("uniform")
-    if args.uniform is not None:
-        uniform = args.uniform
-    if uniform is not None:
-        _require_probability("'uniform'", uniform)
-
-    # Parallel execution + snapshot warm start.  The CLI flag wins over
-    # the query file's key, so saved batteries stay self-contained while
-    # an ad-hoc run is one flag away.
-    workers = args.workers if args.workers is not None else data.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise QuerySpecError(
-            f"'workers' must be an integer >= 1, got {workers!r}"
-        )
-    # Governance knobs follow the same CLI-flag-wins convention.
-    def _governance_value(flag_value, key, kind, check, requirement):
-        value = flag_value if flag_value is not None else data.get(key)
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise QuerySpecError(f"{key!r} must be {requirement}, got {value!r}")
-        value = float(value) if kind == (int, float) else value
-        if not check(value):
-            raise QuerySpecError(f"{key!r} must be {requirement}, got {value!r}")
-        return value
-
-    query_timeout_ms = _governance_value(
-        args.query_timeout, "query_timeout_ms", (int, float),
-        lambda v: v > 0, "a positive duration in milliseconds",
-    )
-    deadline_ms = _governance_value(
-        args.deadline, "deadline_ms", (int, float),
-        lambda v: v > 0, "a positive duration in milliseconds",
-    )
-    shard_retries = _governance_value(
-        args.shard_retries, "shard_retries", int,
-        lambda v: v >= 0, "an integer >= 0",
-    )
-    retry_backoff_ms = _governance_value(
-        args.retry_backoff, "retry_backoff_ms", (int, float),
-        lambda v: v >= 0, "a non-negative duration in milliseconds",
-    )
-    watchdog_ms = _governance_value(
-        args.watchdog, "watchdog_ms", (int, float),
-        lambda v: v > 0, "a positive duration in milliseconds",
-    )
+    options = _analysis_options(args, data)
 
     if "snapshot" in data:
         raise QuerySpecError(
@@ -423,38 +447,29 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         variants = {**variants, **extra_variants}
 
     analyzer = BatchAnalyzer(
-        scenarios,
-        scope=scope,
-        auto_gc=auto_gc,
-        auto_reorder=auto_reorder,
-        probabilities=probabilities,
-        uniform=uniform,
-        workers=workers,
-        snapshots=snapshots,
-        variants=variants,
-        deadline_ms=deadline_ms,
-        query_timeout_ms=query_timeout_ms,
-        **(
-            {"shard_retries": shard_retries}
-            if shard_retries is not None else {}
-        ),
-        **(
-            {"retry_backoff_ms": retry_backoff_ms}
-            if retry_backoff_ms is not None else {}
-        ),
-        watchdog_ms=watchdog_ms,
+        scenarios, options, snapshots=snapshots, variants=variants
     )
     if store is not None:
         # Store misses: translate the trees now so this run's workers
         # warm-start too, then persist them for the next run.
-        misses = [name for name in scenarios if name not in snapshots]
-        analyzer.prewarm_trees(misses)
-        for name in misses:
-            store.put(
-                tree_fingerprint(scenarios[name]),
-                analyzer.session(name).kernel_snapshot(),
-            )
+        _store_kernels(
+            store, analyzer, [name for name in scenarios if name not in snapshots]
+        )
     report = analyzer.run(data["queries"])
+    if store is not None:
+        # A hit that failed its integrity check was rebuilt cold; put
+        # the rebuilt kernel back so the next run warm-starts again.
+        _store_kernels(
+            store,
+            analyzer,
+            sorted(
+                {
+                    warning["scenario"]
+                    for warning in report.stats.get("warnings", ())
+                    if warning["kind"] == SnapshotIntegrityError.kind
+                }
+            ),
+        )
     rendered = report.to_json(indent=2 if args.pretty else None)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -477,6 +492,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from .service import AnalysisServer, ServerConfig
     from .service.queries import QuerySpecError
+    from .service.server import SERVE_DEFAULTS
 
     trees = {"default": _load_tree(args.tree)}
     for item in args.scenario or []:
@@ -487,13 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"--scenario expects NAME=TREE, got {item!r}"
             )
         trees[name] = _load_tree(spec.strip())
-    for label, value in (
-        ("--deadline", args.deadline),
-        ("--query-timeout", args.query_timeout),
-        ("--rate-limit", args.rate_limit),
-    ):
-        if value is not None and not value > 0:
-            raise QuerySpecError(f"{label} must be > 0, got {value!r}")
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -503,13 +512,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        deadline_ms=args.deadline,
-        query_timeout_ms=args.query_timeout,
-        scope=MinimalityScope(args.scope),
-        auto_gc=not args.no_gc,
-        auto_reorder=args.auto_reorder,
-        probabilities=_parse_probability(args.probabilities),
-        uniform=args.uniform,
+        analysis=_analysis_options(args, {}, SERVE_DEFAULTS),
     )
     server = AnalysisServer(trees, config)
 
@@ -544,25 +547,36 @@ def _print_kinds() -> None:
 
 
 def _parse_probability(text: Optional[str]) -> dict:
+    """``'IW=0.1,H1=0.02'`` -> ``{"IW": 0.1, "H1": 0.02}``; a value that
+    is no number fails with the analysis-options message."""
+    from .service.options import check_probability
+
     if not text:
         return {}
     overrides = {}
     for part in text.split(","):
         name, _, value = part.partition("=")
-        overrides[name.strip()] = float(value)
+        name = name.strip()
+        try:
+            overrides[name] = float(value)
+        except ValueError:
+            check_probability(f"probability for {name!r}", value.strip())
     return overrides
+
+
+def _cli_overrides(args: argparse.Namespace, tree: FaultTree) -> dict:
+    """``--probabilities`` over a ``--uniform`` floor (bfl prob/importance)."""
+    overrides = _parse_probability(args.probabilities)
+    if args.uniform is None:
+        return overrides
+    return {name: overrides.get(name, args.uniform) for name in tree.basic_events}
 
 
 def _cmd_importance(args: argparse.Namespace) -> int:
     from .prob import importance_table, render_importance_table
 
     tree = _load_tree(args.tree)
-    overrides = _parse_probability(args.probabilities)
-    if args.uniform is not None:
-        overrides = {
-            name: overrides.get(name, args.uniform)
-            for name in tree.basic_events
-        }
+    overrides = _cli_overrides(args, tree)
     rows = importance_table(tree, element=args.element, overrides=overrides)
     print(render_importance_table(rows))
     return 0
@@ -574,13 +588,7 @@ def _cmd_probability(args: argparse.Namespace) -> int:
     from .prob import ProbabilityChecker
 
     tree = _load_tree(args.tree)
-    overrides = _parse_probability(args.probabilities)
-    if args.uniform is not None:
-        overrides = {
-            name: overrides.get(name, args.uniform)
-            for name in tree.basic_events
-        }
-    checker = ProbabilityChecker(tree, overrides=overrides)
+    checker = ProbabilityChecker(tree, overrides=_cli_overrides(args, tree))
     statement = parse(args.query.strip())
     if isinstance(statement, ProbabilityQuery):
         outcome = checker.evaluate(statement)
@@ -692,9 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_dot.set_defaults(handler=_cmd_dot)
 
     p_batch = sub.add_parser(
-        "batch", help="answer a JSON battery of queries via the service layer"
+        "batch",
+        help="answer a JSON battery of queries via the service layer",
+        description="Flags win over the query file's keys; "
+        "docs/operations.md tabulates every analysis option.",
     )
-    _add_tree_option(p_batch)
+    _add_tree_option(p_batch, with_scope=False)
     p_batch.add_argument(
         "queries", nargs="?", help="JSON query file (see docs)"
     )
@@ -709,32 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--pretty", action="store_true", help="indent the JSON report"
-    )
-    p_batch.add_argument(
-        "--gc",
-        action="store_true",
-        help="arm automatic BDD garbage collection (dead intermediate "
-        "BDDs are reclaimed between queries; counters appear under "
-        "stats.scenarios.<name>.memory)",
-    )
-    p_batch.add_argument(
-        "--auto-reorder",
-        action="store_true",
-        help="arm automatic in-place variable reordering (Rudell "
-        "sifting) when live BDD nodes grow past the kernel trigger",
-    )
-    p_batch.add_argument(
-        "--uniform",
-        type=float,
-        help="uniform failure probability for PFL queries (overrides "
-        "the query file's 'uniform' key)",
-    )
-    p_batch.add_argument(
-        "--workers",
-        type=int,
-        help="answer the battery over N worker processes (balanced "
-        "shards, deterministic merge; overrides the query file's "
-        "'workers' key)",
     )
     p_batch.add_argument(
         "--store",
@@ -753,57 +738,18 @@ def build_parser() -> argparse.ArgumentParser:
         "file's 'variants' key; variant sessions fork the warm base "
         "kernel instead of rebuilding per scenario",
     )
-    p_batch.add_argument(
-        "--query-timeout",
-        type=float,
-        metavar="MS",
-        help="default per-query wall-clock budget in milliseconds (a "
-        "query's own timeout_ms wins); an expired query is reported as "
-        "a structured error_kind=deadline failure while the rest of "
-        "the battery continues (overrides the file's 'query_timeout_ms')",
-    )
-    p_batch.add_argument(
-        "--deadline",
-        type=float,
-        metavar="MS",
-        help="whole-battery wall-clock budget in milliseconds; queries "
-        "that cannot start before it expires are reported as "
-        "error_kind=deadline failures (overrides the file's "
-        "'deadline_ms')",
-    )
-    p_batch.add_argument(
-        "--shard-retries",
-        type=int,
-        metavar="N",
-        help="with --workers: resubmit a crashed or hung shard to a "
-        "fresh worker up to N times before reporting a structured "
-        "worker-crash failure (default 2; overrides the file's "
-        "'shard_retries')",
-    )
-    p_batch.add_argument(
-        "--retry-backoff",
-        type=float,
-        metavar="MS",
-        help="base delay before a shard retry round, doubled each "
-        "round (default 250 ms; overrides the file's "
-        "'retry_backoff_ms')",
-    )
-    p_batch.add_argument(
-        "--watchdog",
-        type=float,
-        metavar="MS",
-        help="with --workers: treat a shard with no result after this "
-        "many milliseconds as hung — kill its worker pool and retry it "
-        "(off by default; overrides the file's 'watchdog_ms')",
-    )
+    _add_analysis_flags(p_batch, "batch")
     p_batch.set_defaults(handler=_cmd_batch)
 
     p_serve = sub.add_parser(
         "serve",
         help="run the long-lived analysis daemon (JSON battery API "
         "over HTTP, warm session pool + snapshot store)",
+        description="Analysis flags set the server defaults; a request's "
+        "own probabilities, uniform, deadline_ms and query_timeout_ms "
+        "win.  docs/operations.md tabulates every analysis option.",
     )
-    _add_tree_option(p_serve)
+    _add_tree_option(p_serve, with_scope=False)
     p_serve.add_argument(
         "--scenario",
         action="append",
@@ -859,43 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="token-bucket burst capacity (default: the rate)",
     )
-    p_serve.add_argument(
-        "--deadline",
-        type=float,
-        metavar="MS",
-        help="default whole-battery deadline applied to requests "
-        "without their own deadline_ms",
-    )
-    p_serve.add_argument(
-        "--query-timeout",
-        type=float,
-        metavar="MS",
-        help="default per-query budget applied to requests without "
-        "their own query_timeout_ms",
-    )
-    p_serve.add_argument(
-        "--uniform",
-        type=float,
-        help="server-default uniform failure probability for PFL "
-        "queries (a request's own uniform wins)",
-    )
-    p_serve.add_argument(
-        "--probabilities",
-        help="server-default overrides, e.g. 'IW=0.1,H1=0.02' (a "
-        "request's own probabilities win)",
-    )
-    p_serve.add_argument(
-        "--no-gc",
-        action="store_true",
-        help="disable automatic BDD garbage collection (on by default "
-        "for the daemon: long-lived sessions accumulate dead nodes)",
-    )
-    p_serve.add_argument(
-        "--auto-reorder",
-        action="store_true",
-        help="arm automatic in-place variable reordering (Rudell "
-        "sifting) on every scenario's kernel",
-    )
+    _add_analysis_flags(p_serve, "serve")
     p_serve.set_defaults(handler=_cmd_serve)
 
     p_report = sub.add_parser(

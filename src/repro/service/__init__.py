@@ -14,6 +14,10 @@ tree: stakeholders ask whole batteries of MCS/MPS/IDP/check queries
   tables persist across queries and across batches;
 * returning structured per-query results plus cache and timing
   metadata, ready for JSON serialisation (the ``bfl batch`` command);
+* taking every analysis setting as one validated
+  :class:`AnalysisOptions` (``BatchAnalyzer(tree, options)`` or
+  ``BatchAnalyzer(tree, uniform=0.1)``), shared with ``bfl batch``,
+  ``bfl serve`` and the HTTP battery fields;
 * optionally fanning a battery out over a multi-process worker pool
   (``BatchAnalyzer(workers=N)``) with deterministic shard planning and
   merging, warm-starting workers from portable kernel snapshots
@@ -35,13 +39,15 @@ Quickstart::
 """
 
 from .batch import AnalysisSession, BatchAnalyzer, tree_fingerprint
+from .options import AnalysisOptions
 from .parallel import Shard, estimate_cost, plan_shards
-from .pool import SessionPool, build_session, resolve_overrides
+from .pool import SessionPool, build_session
 from .queries import BatchReport, QueryResult, QuerySpec, specs_from_any
 from .server import AnalysisServer, ServerConfig, TokenBucket
 from .store import SnapshotStore
 
 __all__ = [
+    "AnalysisOptions",
     "AnalysisServer",
     "AnalysisSession",
     "BatchAnalyzer",
@@ -56,7 +62,6 @@ __all__ = [
     "build_session",
     "estimate_cost",
     "plan_shards",
-    "resolve_overrides",
     "specs_from_any",
     "tree_fingerprint",
 ]

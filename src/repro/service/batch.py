@@ -28,6 +28,7 @@ import hashlib
 import logging
 import os
 import time
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bdd.manager import BDDManager, OperationCacheStats
@@ -55,7 +56,7 @@ from ..logic.ast_nodes import (
     Synthesize,
 )
 from ..logic.parser import format_statement, parse_request
-from ..logic.scope import MinimalityScope
+from .options import AnalysisOptions
 from .queries import (
     DEFAULT_SCENARIO,
     BatchReport,
@@ -92,18 +93,16 @@ class AnalysisSession:
         self,
         name: str,
         tree: FaultTree,
-        scope: MinimalityScope = MinimalityScope.SUPPORT,
-        order: Optional[Sequence[str]] = None,
-        monotone_fast_path: bool = False,
-        auto_gc: bool = False,
-        auto_reorder: bool = False,
-        gc_trigger: Optional[int] = None,
-        reorder_trigger: Optional[int] = None,
+        options: Optional[AnalysisOptions] = None,
         probabilities: Optional[Mapping[str, float]] = None,
         snapshot: Optional[Mapping[str, Any]] = None,
         manager: Optional[BDDManager] = None,
     ) -> None:
         self.name = name
+        #: The analysis settings this session's kernel was built under
+        #: (only the kernel fields matter here; ``probabilities`` below
+        #: are the scenario's already-resolved overrides).
+        self.options = options if options is not None else AnalysisOptions()
         # Warm start: rebuild the kernel from a portable snapshot and
         # drop its element roots straight into the tree-translation
         # cache, so the session never re-runs Psi_FT for the tree.
@@ -116,29 +115,12 @@ class AnalysisSession:
         adopted = None
         if snapshot is not None:
             manager, adopted = BDDManager.load_snapshot(snapshot)
-        self._session_config: Dict[str, Any] = {
-            "scope": scope,
-            "order": order,
-            "monotone_fast_path": monotone_fast_path,
-            "auto_gc": auto_gc,
-            "auto_reorder": auto_reorder,
-            "gc_trigger": gc_trigger,
-            "reorder_trigger": reorder_trigger,
-        }
         #: Name of the session this one was forked from (None for base
         #: sessions) and the edit script that produced it.
         self.variant_of: Optional[str] = None
         self.edits: Tuple[Any, ...] = ()
         self.checker = ModelChecker(
-            tree,
-            scope=scope,
-            order=order,
-            monotone_fast_path=monotone_fast_path,
-            auto_gc=auto_gc,
-            auto_reorder=auto_reorder,
-            gc_trigger=gc_trigger,
-            reorder_trigger=reorder_trigger,
-            manager=manager,
+            tree, manager=manager, **self.options.checker_kwargs()
         )
         if adopted:
             self.checker.translator.tree_translator.adopt(adopted)
@@ -298,9 +280,9 @@ class AnalysisSession:
         child = AnalysisSession(
             name,
             new_tree,
+            self.options,
             probabilities=overrides,
             manager=self.checker.manager,
-            **self._session_config,
         )
         child.variant_of = self.name
         child.edits = tuple(edit_list)
@@ -346,34 +328,10 @@ class BatchAnalyzer:
     Args:
         trees: A single tree (registered under the scenario name
             ``"default"``) or a mapping of scenario name -> tree.
-        scope: MCS/MPS minimality scope, applied to every scenario.
-        monotone_fast_path: Passed through to each translator.
-        auto_gc: Arm automatic BDD garbage collection on every scenario's
-            manager.  Long-lived sessions accumulate dead intermediate
-            BDDs (primed relations, quantifier witnesses, ...); with GC
-            armed they are reclaimed at query boundaries, holding peak
-            live nodes near the steady-state working set (the soak gate
-            in ``benchmarks/bench_reorder_gc.py`` pins this to < 2x).
-        auto_reorder: Arm automatic in-place Rudell sifting on every
-            scenario's manager.
-        gc_trigger: Optional live-node count arming the first collection.
-        reorder_trigger: Optional live-node count arming the first sift.
-        probabilities: Per-event failure probabilities for PFL queries.
-            Scalar-valued entries (``{event: p}``) apply to every
-            scenario that has the event; Mapping-valued entries
-            (``{scenario: {event: p}}``) scope their contents to that
-            scenario and win over flat entries.  The two shapes may be
-            mixed.  Gaps fall back to the trees' own
-            ``BasicEvent.probability`` attributes.
-        uniform: Uniform probability for every basic event of every
-            scenario (explicit ``probabilities`` entries win).
-        workers: Number of worker processes for :meth:`run`.  ``1`` (the
-            default) answers the battery in-process; ``N > 1`` plans the
-            battery into balanced shards and fans them out over a
-            process pool in which every worker owns private per-scenario
-            BDD managers (see :mod:`repro.service.parallel`).  Results
-            are merged back in battery order, so reports agree
-            query-for-query with a sequential run.
+        options: The battery's :class:`~repro.service.options.AnalysisOptions`
+            (scope, kernel GC/reordering, PFL weights, workers,
+            deadlines, shard retries — every field is documented
+            there).  Omit it to build one from ``fields``.
         snapshots: Optional scenario-name -> kernel-snapshot mapping (as
             produced by :meth:`kernel_snapshots` or read from a
             :class:`~repro.service.store.SnapshotStore`) to warm-start
@@ -390,29 +348,9 @@ class BatchAnalyzer:
             (:meth:`AnalysisSession.fork_variant`) of the warm base
             session — sharing the base kernel instead of rebuilding —
             which is what makes wide what-if sweeps cheap.
-        deadline_ms: Wall-clock budget for a whole battery
-            (:meth:`run`).  Translation and evaluation run under a
-            kernel governor bounded by the remaining budget; once it is
-            spent, every not-yet-answered query is reported as a
-            structured ``error_kind="deadline"`` failure and the report
-            still comes back complete and in order.
-        query_timeout_ms: Default per-query wall-clock budget, applied
-            to every query that does not carry its own
-            ``QuerySpec.timeout_ms``.  A timed-out query becomes a
-            structured ``error_kind="deadline"`` failure; the rest of
-            the battery continues (the kernel is left consistent by the
-            governor's abort protocol).
-        shard_retries: Parallel mode only — how many times a failed
-            shard (worker crash, watchdog expiry) is resubmitted to a
-            respawned worker before its queries are reported as
-            structured ``error_kind="worker-crash"`` failures.
-        retry_backoff_ms: Parallel mode only — base delay before the
-            first shard retry; doubles per attempt (exponential
-            backoff).
-        watchdog_ms: Parallel mode only — per-shard hang detector: a
-            shard that produces no result within this wall-clock budget
-            is treated as crashed (and retried, subject to
-            ``shard_retries``).  ``None`` disables the watchdog.
+        **fields: :class:`~repro.service.options.AnalysisOptions` fields
+            (``BatchAnalyzer(tree, uniform=0.1, workers=4)``); passing
+            both ``options`` and fields is a ``TypeError``.
 
     Example:
         >>> from repro.ft import figure1_tree
@@ -425,57 +363,24 @@ class BatchAnalyzer:
     def __init__(
         self,
         trees: Union[FaultTree, Mapping[str, FaultTree]],
-        scope: MinimalityScope = MinimalityScope.SUPPORT,
-        monotone_fast_path: bool = False,
-        auto_gc: bool = False,
-        auto_reorder: bool = False,
-        gc_trigger: Optional[int] = None,
-        reorder_trigger: Optional[int] = None,
-        probabilities: Optional[Mapping[str, Any]] = None,
-        uniform: Optional[float] = None,
-        workers: int = 1,
+        options: Optional[AnalysisOptions] = None,
+        *,
         snapshots: Optional[Mapping[str, Mapping[str, Any]]] = None,
         variants: Optional[Mapping[str, Mapping[str, Any]]] = None,
-        deadline_ms: Optional[float] = None,
-        query_timeout_ms: Optional[float] = None,
-        shard_retries: int = 2,
-        retry_backoff_ms: float = 250.0,
-        watchdog_ms: Optional[float] = None,
+        **fields: Any,
     ) -> None:
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise QuerySpecError(
-                f"workers must be an integer >= 1, got {workers!r}"
+        if options is None:
+            options = AnalysisOptions(**fields)
+        elif fields:
+            raise TypeError(
+                "BatchAnalyzer takes either options or option fields, "
+                "not both"
             )
-        if workers < 1:
-            raise QuerySpecError(
-                f"workers must be an integer >= 1, got {workers}"
+        elif not isinstance(options, AnalysisOptions):
+            raise TypeError(
+                f"options must be an AnalysisOptions, got {options!r}"
             )
-        for label, value in (
-            ("deadline_ms", deadline_ms),
-            ("query_timeout_ms", query_timeout_ms),
-            ("watchdog_ms", watchdog_ms),
-        ):
-            if value is not None and not value > 0:
-                raise QuerySpecError(
-                    f"{label} must be > 0, got {value!r}"
-                )
-        if (
-            isinstance(shard_retries, bool)
-            or not isinstance(shard_retries, int)
-            or shard_retries < 0
-        ):
-            raise QuerySpecError(
-                f"shard_retries must be an integer >= 0, got {shard_retries!r}"
-            )
-        if not retry_backoff_ms >= 0:
-            raise QuerySpecError(
-                f"retry_backoff_ms must be >= 0, got {retry_backoff_ms!r}"
-            )
-        self._deadline_ms = deadline_ms
-        self._query_timeout_ms = query_timeout_ms
-        self._shard_retries = shard_retries
-        self._retry_backoff_ms = retry_backoff_ms
-        self._watchdog_ms = watchdog_ms
+        self.options = options
         #: perf_counter() instant the current battery must finish by
         #: (armed per run(); None = no battery deadline).
         self._battery_deadline_at: Optional[float] = None
@@ -483,15 +388,6 @@ class BatchAnalyzer:
         #: (e.g. a corrupt snapshot that degraded to a cold build);
         #: surfaced under ``report.stats["warnings"]``.
         self._warnings: List[Dict[str, str]] = []
-        self._scope = scope
-        self._monotone_fast_path = monotone_fast_path
-        self._auto_gc = auto_gc
-        self._auto_reorder = auto_reorder
-        self._gc_trigger = gc_trigger
-        self._reorder_trigger = reorder_trigger
-        self._probabilities = dict(probabilities or {})
-        self._uniform = uniform
-        self._workers = workers
         self._snapshots: Dict[str, Mapping[str, Any]] = dict(snapshots or {})
         #: Registered scenario trees.  Sessions are built *lazily* from
         #: these on first use (``session()``): a parent running in
@@ -516,9 +412,10 @@ class BatchAnalyzer:
         # Scenario-scoped probability maps must name a registered
         # scenario — a typo would otherwise silently run the battery
         # against the uniform floor / tree-attached probabilities.
+        probabilities = options.probabilities
         unknown = [
             key
-            for key, value in self._probabilities.items()
+            for key, value in probabilities.items()
             if isinstance(value, Mapping) and key not in self._trees
         ]
         if unknown:
@@ -539,7 +436,7 @@ class BatchAnalyzer:
         }
         stray = [
             key
-            for key, value in self._probabilities.items()
+            for key, value in probabilities.items()
             if not isinstance(value, Mapping) and key not in known_events
         ]
         if stray:
@@ -694,22 +591,14 @@ class BatchAnalyzer:
         from .pool import build_session
 
         tree = self._trees[name]
-        kwargs: Dict[str, Any] = dict(
-            scope=self._scope,
-            monotone_fast_path=self._monotone_fast_path,
-            auto_gc=self._auto_gc,
-            auto_reorder=self._auto_reorder,
-            gc_trigger=self._gc_trigger,
-            reorder_trigger=self._reorder_trigger,
-            probabilities=self._overrides_for(name, tree),
-        )
         snapshot = self._validated_kernel(name, tree)
         session, warm = build_session(
             name,
             tree,
+            self.options,
+            probabilities=self.options.overrides_for(name, tree),
             snapshot=snapshot,
             warnings=self._warnings,
-            **kwargs,
         )
         if snapshot is not None and not warm:
             # A corrupt cache entry must not be retried on the next
@@ -717,18 +606,6 @@ class BatchAnalyzer:
             self._snapshots.pop(name, None)
         self._sessions[name] = session
         return session
-
-    def _overrides_for(
-        self, name: str, tree: FaultTree
-    ) -> Dict[str, float]:
-        """Resolve the probability overrides for one scenario (uniform
-        floor, then flat entries, then the scenario-scoped map) — see
-        :func:`repro.service.pool.resolve_overrides`, the shared rule."""
-        from .pool import resolve_overrides
-
-        return resolve_overrides(
-            name, tree, self._probabilities, self._uniform
-        )
 
     @property
     def scenarios(self) -> Tuple[str, ...]:
@@ -794,7 +671,7 @@ class BatchAnalyzer:
             # floor, flat entries, scenario-scoped map), then let the
             # variant definition's own probabilities win — so a variant
             # session answers PFL queries identically to a rebuilt one.
-            overrides = self._overrides_for(name, self._trees[name])
+            overrides = self.options.overrides_for(name, self._trees[name])
             overrides.update(variant["probabilities"])
             session = base_session.fork_variant(
                 name,
@@ -815,26 +692,6 @@ class BatchAnalyzer:
     # The batch pipeline
     # ------------------------------------------------------------------
 
-    @property
-    def workers(self) -> int:
-        """Configured worker-process count (1 = in-process)."""
-        return self._workers
-
-    @property
-    def shard_retries(self) -> int:
-        """Parallel mode: resubmission budget per failed shard."""
-        return self._shard_retries
-
-    @property
-    def retry_backoff_ms(self) -> float:
-        """Parallel mode: base backoff before the first shard retry."""
-        return self._retry_backoff_ms
-
-    @property
-    def watchdog_ms(self) -> Optional[float]:
-        """Parallel mode: per-shard hang-detector budget (None = off)."""
-        return self._watchdog_ms
-
     def run(
         self,
         queries: Iterable[Union[QuerySpec, str, Statement, Mapping[str, Any]]],
@@ -847,7 +704,7 @@ class BatchAnalyzer:
         battery order — see :mod:`repro.service.parallel`).
         """
         specs = specs_from_any(queries)
-        if self._workers > 1 and len(specs) > 1:
+        if self.options.workers > 1 and len(specs) > 1:
             from .parallel import run_parallel
 
             return run_parallel(self, specs)
@@ -882,7 +739,7 @@ class BatchAnalyzer:
         }
 
     def _worker_config(self) -> Dict[str, Any]:
-        """Picklable constructor kwargs for a worker-process clone.
+        """Picklable constructor arguments for a worker-process clone.
 
         Sessions the parent has already warmed (explicit
         :meth:`prewarm_trees`, a snapshot warm start, or simply an
@@ -923,22 +780,12 @@ class BatchAnalyzer:
                 for name, tree in self._trees.items()
                 if name not in self._variants
             },
-            "scope": self._scope,
-            "monotone_fast_path": self._monotone_fast_path,
-            "auto_gc": self._auto_gc,
-            "auto_reorder": self._auto_reorder,
-            "gc_trigger": self._gc_trigger,
-            "reorder_trigger": self._reorder_trigger,
-            "probabilities": self._probabilities,
-            "uniform": self._uniform,
-            "snapshots": snapshots,
-            "variants": variants,
-            "workers": 1,
             # Per-query governance travels to the workers; the battery
             # deadline does too — each shard runs under it in parallel,
             # and the parent's shard watchdog backs it up.
-            "deadline_ms": self._deadline_ms,
-            "query_timeout_ms": self._query_timeout_ms,
+            "options": replace(self.options, workers=1),
+            "snapshots": snapshots,
+            "variants": variants,
         }
 
     @staticmethod
@@ -967,7 +814,7 @@ class BatchAnalyzer:
         timeout = (
             spec.timeout_ms
             if spec.timeout_ms is not None
-            else self._query_timeout_ms
+            else self.options.query_timeout_ms
         )
         remaining = self._battery_remaining_ms()
         if timeout is None:
@@ -996,10 +843,9 @@ class BatchAnalyzer:
     def _run_specs(self, specs: List[QuerySpec]) -> BatchReport:
         """The in-process three-phase pipeline over normalised specs."""
         batch_start = time.perf_counter()
-        if self._deadline_ms is not None:
-            self._battery_deadline_at = (
-                batch_start + self._deadline_ms / 1000.0
-            )
+        deadline_ms = self.options.deadline_ms
+        if deadline_ms is not None:
+            self._battery_deadline_at = batch_start + deadline_ms / 1000.0
         else:
             self._battery_deadline_at = None
         before = {
@@ -1022,7 +868,7 @@ class BatchAnalyzer:
         for spec in specs:
             try:
                 session = self.session(spec.tree)
-                statements = self._statements_for(spec, session)
+                statements = statements_for(spec, session)
             except ReproError as error:
                 parsed.append(
                     (spec, None, (str(error), error_kind(error)))
@@ -1034,7 +880,7 @@ class BatchAnalyzer:
             timeout = (
                 spec.timeout_ms
                 if spec.timeout_ms is not None
-                else self._query_timeout_ms
+                else self.options.query_timeout_ms
             )
             for statement in statements:
                 key = (spec.tree, statement)
@@ -1100,7 +946,7 @@ class BatchAnalyzer:
                 results.append(
                     self._error_result(
                         spec,
-                        f"battery deadline of {self._deadline_ms:g} ms "
+                        f"battery deadline of {deadline_ms:g} ms "
                         "exceeded before this query evaluated",
                         QueryDeadlineError.kind,
                     )
@@ -1160,15 +1006,6 @@ class BatchAnalyzer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _statements_for(
-        self, spec: QuerySpec, session: AnalysisSession
-    ) -> List[Statement]:
-        """The statement(s) a spec needs translated, from the query-kind
-        registry (element names resolve inside the kind hooks, so
-        MCS/MPS specs share the same cache entries as textual
-        ``MCS(...)`` queries)."""
-        return statements_for(spec, session)
 
     def _evaluate(
         self, spec: QuerySpec, statement: Optional[Statement]

@@ -26,7 +26,7 @@ into a multi-process engine in three deterministic steps:
    skip per-scenario ``Psi_FT`` translation entirely.  A shard whose
    worker dies (crash, or a hang caught by the per-shard watchdog) is
    *resubmitted* to a freshly spawned pool — up to
-   ``BatchAnalyzer(shard_retries=...)`` times, with exponential backoff
+   ``AnalysisOptions.shard_retries`` times, with exponential backoff
    — because one dead process must not permanently cost its queries.
    Worker-side exceptions travel back as picklable
    :class:`ShardFailure` records carrying the worker's own traceback,
@@ -332,7 +332,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def run_parallel(analyzer, specs: Sequence[QuerySpec]) -> BatchReport:
-    """Execute a normalised battery across ``analyzer.workers`` processes.
+    """Execute a normalised battery across ``options.workers`` processes.
 
     Called by :meth:`BatchAnalyzer.run` when ``workers > 1``; falls back
     to the in-process pipeline when the plan degenerates to one shard.
@@ -346,18 +346,19 @@ def run_parallel(analyzer, specs: Sequence[QuerySpec]) -> BatchReport:
     per-round disposables):
 
     * a shard whose worker crashed (``BrokenProcessPool``) or whose
-      result did not arrive within ``analyzer.watchdog_ms`` is marked
+      result did not arrive within ``options.watchdog_ms`` is marked
       failed and re-queued;
     * a shard that returned a :class:`ShardFailure` (worker-side
       exception, traceback attached) is likewise re-queued;
-    * after ``analyzer.shard_retries`` re-submissions — with
+    * after ``options.shard_retries`` re-submissions — with
       exponentially growing backoff in between — whatever is still
       failing is reported as structured per-query errors, and every
       other shard's results stand.
     """
     start = time.perf_counter()
+    options = analyzer.options
     trees = analyzer.trees
-    shard_count = max(1, min(analyzer.workers, len(specs)))
+    shard_count = max(1, min(options.workers, len(specs)))
     shards = plan_shards(
         specs, trees, shard_count, variant_bases=analyzer.variant_bases
     )
@@ -365,9 +366,9 @@ def run_parallel(analyzer, specs: Sequence[QuerySpec]) -> BatchReport:
         return analyzer._run_specs(list(specs))
 
     payload = analyzer._worker_config()
-    retries = getattr(analyzer, "shard_retries", 0)
-    backoff_ms = getattr(analyzer, "retry_backoff_ms", 0.0)
-    watchdog_ms = getattr(analyzer, "watchdog_ms", None)
+    retries = options.shard_retries
+    backoff_ms = options.retry_backoff_ms
+    watchdog_ms = options.watchdog_ms
     reports: List[Optional[BatchReport]] = [None] * len(shards)
     failures: List[Optional[ShardFailure]] = [None] * len(shards)
     attempts = [0] * len(shards)
@@ -446,7 +447,7 @@ def run_parallel(analyzer, specs: Sequence[QuerySpec]) -> BatchReport:
         shards,
         reports,
         failures,
-        analyzer.workers,
+        options.workers,
         elapsed_ms,
         attempts=attempts,
     )

@@ -1,18 +1,16 @@
 """Session pooling: the warm tier between one-shot batteries and `bfl serve`.
 
-This module owns the two pieces of per-scenario session lifecycle that
+This module owns the piece of per-scenario session lifecycle that
 used to live inline in :class:`~repro.service.batch.BatchAnalyzer` and
 that the analysis server (:mod:`repro.service.server`) needs on its own
 terms:
 
-* :func:`resolve_overrides` — the probability-override resolution rule
-  (uniform floor, then flat entries, then the scenario-scoped map).
 * :func:`build_session` — snapshot warm start with the degrade-to-cold
   protocol: a corrupt kernel snapshot is only an accelerator, so it is
   logged, reported as a structured warning, and the session is rebuilt
   from the tree.
 
-:class:`BatchAnalyzer` delegates to both, so one-shot batteries and the
+:class:`BatchAnalyzer` delegates to it, so one-shot batteries and the
 server share byte-identical behaviour by construction.
 
 On top of those sits :class:`SessionPool`, the server's LRU tier of live
@@ -44,6 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..ft.tree import FaultTree
 from ..errors import SnapshotIntegrityError
 from .batch import AnalysisSession
+from .options import AnalysisOptions
 
 logger = logging.getLogger(__name__)
 
@@ -51,44 +50,7 @@ __all__ = [
     "SessionPool",
     "build_session",
     "overrides_digest",
-    "resolve_overrides",
 ]
-
-
-def resolve_overrides(
-    name: str,
-    tree: FaultTree,
-    probabilities: Mapping[str, Any],
-    uniform: Optional[float],
-) -> Dict[str, float]:
-    """Resolve the probability overrides for one scenario: uniform
-    floor, then flat entries, then the scenario's own map.
-
-    The ``probabilities`` mapping may mix the two shapes: a
-    Mapping-valued entry scopes its contents to that scenario (and
-    wins), a scalar-valued entry is a flat per-event probability
-    "applied to every scenario" — so events a particular tree does
-    not have are simply not for it, while scenario-scoped maps stay
-    strict (unknown event names surface as per-query
-    ``MissingProbabilityError`` diagnostics).
-    """
-    overrides: Dict[str, float] = {}
-    if uniform is not None:
-        overrides = {
-            event: float(uniform) for event in tree.basic_events
-        }
-    overrides.update(
-        {
-            event: value
-            for event, value in probabilities.items()
-            if not isinstance(value, Mapping)
-            and event in tree.basic_events
-        }
-    )
-    scoped = probabilities.get(name)
-    if isinstance(scoped, Mapping):
-        overrides.update(scoped)
-    return overrides
 
 
 def overrides_digest(overrides: Mapping[str, float]) -> str:
@@ -104,13 +66,17 @@ def overrides_digest(overrides: Mapping[str, float]) -> str:
 def build_session(
     name: str,
     tree: FaultTree,
+    options: Optional[AnalysisOptions] = None,
     *,
+    probabilities: Optional[Mapping[str, float]] = None,
     snapshot: Optional[Mapping[str, Any]] = None,
     warnings: Optional[List[Dict[str, str]]] = None,
-    **kwargs: Any,
 ) -> Tuple[AnalysisSession, bool]:
     """Build one scenario session, warm-starting from ``snapshot``.
 
+    ``options`` carries the kernel settings and ``probabilities`` the
+    scenario's resolved overrides
+    (:meth:`~repro.service.options.AnalysisOptions.overrides_for`).
     Returns ``(session, warm)`` where ``warm`` says whether the snapshot
     actually seeded the kernel.  A snapshot that fails its integrity
     check must not kill the battery: the snapshot is only an
@@ -121,7 +87,9 @@ def build_session(
     if snapshot is not None:
         try:
             return (
-                AnalysisSession(name, tree, snapshot=snapshot, **kwargs),
+                AnalysisSession(
+                    name, tree, options, probabilities, snapshot=snapshot
+                ),
                 True,
             )
         except SnapshotIntegrityError as exc:
@@ -138,7 +106,7 @@ def build_session(
                         "message": message,
                     }
                 )
-    return AnalysisSession(name, tree, **kwargs), False
+    return AnalysisSession(name, tree, options, probabilities), False
 
 
 class _Entry:

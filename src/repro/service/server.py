@@ -49,7 +49,7 @@ import logging
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import (
@@ -60,9 +60,9 @@ from ..errors import (
     error_kind,
 )
 from ..ft.tree import FaultTree
-from ..logic.scope import MinimalityScope
 from .batch import AnalysisSession, BatchAnalyzer, tree_fingerprint
-from .pool import SessionPool, overrides_digest, resolve_overrides
+from .options import AnalysisOptions, check_int, check_number
+from .pool import SessionPool, overrides_digest
 from .queries import DEFAULT_SCENARIO, BatchReport, specs_from_any
 from .store import SnapshotStore
 
@@ -72,6 +72,7 @@ __all__ = [
     "AnalysisServer",
     "Route",
     "ROUTES",
+    "SERVE_DEFAULTS",
     "ServerConfig",
     "TokenBucket",
 ]
@@ -160,6 +161,12 @@ class TokenBucket:
             return False, (1.0 - self._tokens) / self.rate * 1000.0
 
 
+#: The analysis defaults of ``bfl serve``: the API's, except that
+#: automatic GC is on — a daemon's sessions live long enough to
+#: accumulate dead intermediate BDDs worth reclaiming.
+SERVE_DEFAULTS = AnalysisOptions(auto_gc=True)
+
+
 @dataclass
 class ServerConfig:
     """Knobs for :class:`AnalysisServer` (CLI flags map 1:1 onto these).
@@ -174,24 +181,22 @@ class ServerConfig:
             and cold starts rebuild from the tree.
         max_concurrency: Batteries evaluating at once (worker threads).
         queue_limit: Batteries allowed to *wait* for a worker slot
-            before new requests are rejected ``503 server-busy``.
+            before new requests are rejected ``503 server-busy``
+            (``0``: admit only when a slot is free).
         rate_limit: Token-bucket refill rate in requests/sec
             (``None`` disables rate limiting).
         rate_burst: Token-bucket capacity (defaults to
             ``max(1, rate_limit)`` when left ``None``).
-        deadline_ms: Default whole-battery deadline applied to requests
-            that do not carry their own (``None`` = unbounded).
-        query_timeout_ms: Default per-query budget, same override rule.
-        scope / monotone_fast_path / auto_gc / auto_reorder /
-        gc_trigger / reorder_trigger: Per-session kernel knobs, exactly
-            :class:`~repro.service.batch.BatchAnalyzer`'s.  ``auto_gc``
-            defaults *on* here — a daemon's sessions live long enough to
-            accumulate dead intermediate BDDs worth reclaiming.
-        probabilities / uniform: Server-default PFL weights; a request
-            carrying its own ``probabilities``/``uniform`` replaces
-            them for that request (and gets its own pooled sessions —
-            PFL answers depend on the weights).
         max_body_bytes: Request-body cap (``413`` beyond it).
+        analysis: Server-default :class:`AnalysisOptions` for every
+            battery (:data:`SERVE_DEFAULTS`: automatic GC on).  A
+            request's own ``probabilities``/``uniform``/``deadline_ms``/
+            ``query_timeout_ms`` replace these for that request (and
+            requests with their own weights get their own pooled
+            sessions — PFL answers depend on the weights).
+
+    Raises:
+        QuerySpecError: On an invalid server field.
     """
 
     host: str = "127.0.0.1"
@@ -202,17 +207,32 @@ class ServerConfig:
     queue_limit: int = 16
     rate_limit: Optional[float] = None
     rate_burst: Optional[float] = None
-    deadline_ms: Optional[float] = None
-    query_timeout_ms: Optional[float] = None
-    scope: MinimalityScope = MinimalityScope.SUPPORT
-    monotone_fast_path: bool = False
-    auto_gc: bool = True
-    auto_reorder: bool = False
-    gc_trigger: Optional[int] = None
-    reorder_trigger: Optional[int] = None
-    probabilities: Dict[str, Any] = field(default_factory=dict)
-    uniform: Optional[float] = None
     max_body_bytes: int = 8 * 1024 * 1024
+    analysis: AnalysisOptions = SERVE_DEFAULTS
+
+    def __post_init__(self) -> None:
+        for name, minimum in (
+            ("port", 0),
+            ("pool_size", 1),
+            ("max_concurrency", 1),
+            ("queue_limit", 0),
+            ("max_body_bytes", 0),
+        ):
+            check_int(name, getattr(self, name), minimum)
+        if self.port > 65535:
+            raise QuerySpecError(f"'port' must be <= 65535, got {self.port}")
+        if self.rate_limit is not None:
+            check_number(
+                "rate_limit", self.rate_limit, "> 0", lambda v: v > 0
+            )
+        if self.rate_burst is not None:
+            check_number(
+                "rate_burst", self.rate_burst, ">= 1", lambda v: v >= 1
+            )
+        if not isinstance(self.analysis, AnalysisOptions):
+            raise QuerySpecError(
+                f"'analysis' must be an AnalysisOptions, got {self.analysis!r}"
+            )
 
 
 class _HTTPError(Exception):
@@ -681,30 +701,37 @@ class AnalysisServer:
                 400, f"request body is not valid JSON: {exc}", "bad-request"
             ) from exc
 
+    @staticmethod
+    def _request_fields(
+        payload: Mapping[str, Any], reserved: str
+    ) -> Dict[str, Any]:
+        """The option fields of a request body (everything but its
+        ``reserved`` query key); a field outside
+        :data:`_BATTERY_OPTION_KEYS` is a 400."""
+        fields = {k: v for k, v in payload.items() if k != reserved}
+        unknown = set(fields) - _BATTERY_OPTION_KEYS
+        if unknown:
+            raise _HTTPError(
+                400,
+                "unknown battery field(s) "
+                + ", ".join(sorted(unknown))
+                + f" (allowed: {reserved}, "
+                + ", ".join(sorted(_BATTERY_OPTION_KEYS))
+                + "; trees/variants/workers are server state, fixed "
+                "at startup)",
+                "bad-request",
+            )
+        return fields
+
     async def _handle_query(
         self, body: bytes
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         payload = self._parse_body(body)
         if isinstance(payload, dict) and "query" in payload:
-            options = {
-                key: value
-                for key, value in payload.items()
-                if key != "query"
-            }
-            unknown = set(options) - _BATTERY_OPTION_KEYS
-            if unknown:
-                raise _HTTPError(
-                    400,
-                    "unknown option(s) "
-                    + ", ".join(sorted(unknown))
-                    + " (allowed: "
-                    + ", ".join(sorted(_BATTERY_OPTION_KEYS))
-                    + ")",
-                    "bad-request",
-                )
+            fields = self._request_fields(payload, "query")
             queries = [payload["query"]]
         elif isinstance(payload, (dict, str)):
-            options = {}
+            fields = {}
             queries = [payload]
         else:
             raise _HTTPError(
@@ -714,7 +741,7 @@ class AnalysisServer:
                 "<options>}",
                 "bad-request",
             )
-        report = await self._admit_and_run(queries, options)
+        report = await self._admit_and_run(queries, fields)
         data = report.to_dict()
         return (
             200,
@@ -743,31 +770,20 @@ class AnalysisServer:
             raise _HTTPError(
                 400, "battery is missing 'queries'", "bad-request"
             )
-        options = {
-            key: value
-            for key, value in payload.items()
-            if key != "queries"
-        }
-        unknown = set(options) - _BATTERY_OPTION_KEYS
-        if unknown:
-            raise _HTTPError(
-                400,
-                "unknown battery field(s) "
-                + ", ".join(sorted(unknown))
-                + " (allowed: queries, "
-                + ", ".join(sorted(_BATTERY_OPTION_KEYS))
-                + "; trees/variants/workers are server state, fixed "
-                "at startup)",
-                "bad-request",
-            )
-        report = await self._admit_and_run(payload["queries"], options)
+        fields = self._request_fields(payload, "queries")
+        report = await self._admit_and_run(payload["queries"], fields)
         return 200, report.to_dict(), {}
 
     async def _admit_and_run(
-        self, queries: Any, options: Dict[str, Any]
+        self, queries: Any, fields: Dict[str, Any]
     ) -> BatchReport:
         try:
             specs = specs_from_any(queries)
+            # Requests without option fields (the common case) share the
+            # server's validated defaults as they are.
+            analysis = self.config.analysis
+            if fields:
+                analysis = AnalysisOptions.from_mapping(fields, base=analysis)
         except ReproError as exc:
             self._counters["bad_requests"] += 1
             raise _HTTPError(
@@ -782,7 +798,10 @@ class AnalysisServer:
                 extra={"draining": True},
             )
         assert self._semaphore is not None
-        if self._waiting >= self.config.queue_limit:
+        if (
+            self._semaphore.locked()
+            and self._waiting >= self.config.queue_limit
+        ):
             self._counters["rejected_busy"] += 1
             raise _HTTPError(
                 503,
@@ -809,7 +828,7 @@ class AnalysisServer:
             self._inflight += 1
             try:
                 report = await asyncio.to_thread(
-                    self._evaluate_battery, specs, options
+                    self._evaluate_battery, specs, analysis
                 )
             finally:
                 self._inflight -= 1
@@ -826,12 +845,7 @@ class AnalysisServer:
         self._counters["queries_answered"] += len(report.results)
         return report
 
-    def _pool_key(
-        self,
-        name: str,
-        probabilities: Mapping[str, Any],
-        uniform: Optional[float],
-    ) -> str:
+    def _pool_key(self, name: str, analysis: AnalysisOptions) -> str:
         """Pool key for one scenario under one set of request weights.
 
         The kernel is weight-independent, so the content address
@@ -840,32 +854,16 @@ class AnalysisServer:
         baked at construction.
         """
         fingerprint = self._fingerprints[name]
-        overrides = resolve_overrides(
-            name, self._trees[name], probabilities, uniform
-        )
+        overrides = analysis.overrides_for(name, self._trees[name])
         if not overrides:
             return fingerprint
         return f"{fingerprint}:{overrides_digest(overrides)}"
 
     def _evaluate_battery(
-        self, specs: List[Any], options: Dict[str, Any]
+        self, specs: List[Any], analysis: AnalysisOptions
     ) -> BatchReport:
         """Worker-thread core: adopt pooled sessions, warm-start the
         rest from the store, run a real :class:`BatchAnalyzer`."""
-        config = self.config
-        probabilities = options.get("probabilities")
-        if probabilities is None:
-            probabilities = config.probabilities
-        uniform = options.get("uniform", config.uniform)
-        deadline_ms = options.get("deadline_ms", config.deadline_ms)
-        query_timeout_ms = options.get(
-            "query_timeout_ms", config.query_timeout_ms
-        )
-        if not isinstance(probabilities, Mapping):
-            raise QuerySpecError(
-                f"probabilities must be a mapping, got "
-                f"{type(probabilities).__name__}"
-            )
         touched = sorted(
             {spec.tree for spec in specs if spec.tree in self._trees}
         )
@@ -873,7 +871,7 @@ class AnalysisServer:
         pinned: Dict[str, AnalysisSession] = {}
         snapshots: Dict[str, Mapping[str, Any]] = {}
         for name in touched:
-            key = self._pool_key(name, probabilities, uniform)
+            key = self._pool_key(name, analysis)
             keys[name] = key
             session = self.pool.acquire(key)
             if session is not None:
@@ -888,18 +886,7 @@ class AnalysisServer:
                     self._counters["rewarms"] += 1
         try:
             analyzer = BatchAnalyzer(
-                dict(self._trees),
-                scope=config.scope,
-                monotone_fast_path=config.monotone_fast_path,
-                auto_gc=config.auto_gc,
-                auto_reorder=config.auto_reorder,
-                gc_trigger=config.gc_trigger,
-                reorder_trigger=config.reorder_trigger,
-                probabilities=probabilities,
-                uniform=uniform,
-                snapshots=snapshots,
-                deadline_ms=deadline_ms,
-                query_timeout_ms=query_timeout_ms,
+                dict(self._trees), analysis, snapshots=snapshots
             )
             for name, session in pinned.items():
                 analyzer.adopt_session(name, session)

@@ -31,7 +31,7 @@ from repro.bdd import BDDManager
 from repro.bdd.manager import decode_snapshot, encode_snapshot, snapshot_checksum
 from repro.casestudy import build_covid_tree
 from repro.cli import main as cli_main
-from repro.errors import SnapshotError
+from repro.errors import SnapshotError, SnapshotIntegrityError
 from repro.ft import TreeTranslator, dual_tree, figure1_tree, tree_to_bdd
 from repro.logic import ReferenceSemantics
 from repro.logic.ast_nodes import Atom
@@ -44,6 +44,7 @@ from repro.service import (
     specs_from_any,
     tree_fingerprint,
 )
+from repro.testing.chaos import corrupt_store_entry
 
 
 def _stripped(report):
@@ -640,6 +641,36 @@ class TestBatchCLI:
             for report in (first, second)
         )
         assert first_rows == second_rows
+
+    def test_store_repairs_a_corrupt_entry(self, tmp_path, capsys):
+        """A store hit that fails its integrity check is rebuilt cold
+        once and put back, so the next run warm-starts cleanly."""
+        queries = self._query_file(tmp_path)
+        store_dir = tmp_path / "kernels"
+        assert cli_main(["batch", queries, "--store", str(store_dir)]) == 0
+        capsys.readouterr()
+        fingerprint = tree_fingerprint(build_covid_tree())
+        corrupt_store_entry(SnapshotStore(store_dir), fingerprint, seed=7)
+        with pytest.raises(SnapshotIntegrityError):
+            BDDManager.load_snapshot(
+                SnapshotStore(store_dir).get(fingerprint)["kernel"]
+            )
+        reports = []
+        for _ in range(2):
+            assert cli_main(["batch", queries, "--store", str(store_dir)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert [w["kind"] for w in reports[0]["stats"]["warnings"]] == [
+            "snapshot-integrity"
+        ]
+        assert "warnings" not in reports[1]["stats"]
+        first, second = (
+            [{**row, "elapsed_ms": 0.0} for row in report["results"]]
+            for report in reports
+        )
+        assert first == second
+        BDDManager.load_snapshot(
+            SnapshotStore(store_dir).get(fingerprint)["kernel"]
+        )
 
     def test_store_key_in_query_file(self, tmp_path, capsys):
         store_dir = tmp_path / "kernels"

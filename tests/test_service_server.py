@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from bfl_strategies import small_trees
 from repro.cli import main as cli_main
+from repro.errors import QuerySpecError
 from repro.ft import dumps, figure1_tree
 from repro.service import (
     AnalysisServer,
@@ -467,6 +468,27 @@ class TestGovernedRequests:
         assert by_id["victim"]["error_kind"] == "resource-limit"
         assert by_id["bystander"]["ok"] is True
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"deadline_ms": "100"},
+            {"probabilities": {"IW": "x"}},
+            {"uniform": True},
+            {"query_timeout_ms": -1},
+        ],
+        ids=["string-deadline", "string-probability", "bool-uniform", "negative-timeout"],
+    )
+    @pytest.mark.parametrize("path", ["/battery", "/query"])
+    def test_invalid_option_field_is_400(self, covid_server, fields, path):
+        """Option fields go through AnalysisOptions: a bad value is a
+        structured 400 before admission, never a 500 or a p = 1.0."""
+        key = "queries" if path == "/battery" else "query"
+        query = ["exists IWoS"] if path == "/battery" else "exists IWoS"
+        status, data, _ = covid_server.post(path, {key: query, **fields})
+        assert status == 400, data
+        assert data["error_kind"] == "QuerySpecError"
+        assert covid_server.server._counters["errors"] == 0
+
     def test_bad_request_option_is_400(self, covid):
         with running(covid) as harness:
             status, data, _ = harness.post(
@@ -508,6 +530,32 @@ class TestAdmission:
                 assert data["draining"] is True
             finally:
                 harness.server._draining = False
+
+    def test_queue_limit_zero_admits_when_a_slot_is_free(self, covid):
+        config = ServerConfig(port=0, queue_limit=0)
+        with running(covid, config) as harness:
+            for _ in range(2):
+                status, data, _ = harness.post(
+                    "/battery", {"queries": ["exists IWoS"]}
+                )
+                assert status == 200, data
+            assert harness.server._counters["rejected_busy"] == 0
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"pool_size": 0},
+            {"max_concurrency": 0},
+            {"queue_limit": -1},
+            {"rate_limit": 0},
+            {"rate_burst": 0.5},
+            {"port": 70000},
+            {"max_concurrency": True},
+        ],
+    )
+    def test_server_config_validates(self, fields):
+        with pytest.raises(QuerySpecError):
+            ServerConfig(**fields)
 
     def test_token_bucket_refills_at_rate(self):
         clock = [0.0]
@@ -562,6 +610,28 @@ def _spawn_serve(store_dir):
 
 
 class TestCLIEndToEnd:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--pool-size", "0"],
+            ["--rate-burst", "-1"],
+            ["--max-concurrency", "0"],
+            ["--queue-limit", "-1"],
+            ["--rate-limit", "0"],
+            ["--deadline", "0"],
+        ],
+    )
+    def test_bad_serve_flag_exits_2_with_one_line(
+        self, argv, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            AnalysisServer, "run", lambda *a, **k: pytest.fail("started")
+        )
+        assert cli_main(["serve", "--port", "0", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
     def test_bfl_serve_subprocess_drains_on_sigterm(self, tmp_path):
         process, port = _spawn_serve(tmp_path / "kernels")
         try:
@@ -649,6 +719,20 @@ class TestDocsGate:
         problems = docs_gate.check_doc_flags([doc])
         assert len(problems) == 1
         assert "README.md:2" in problems[0] and "--snapshot" in problems[0]
+
+
+    def test_options_table_catches_drift(self, tmp_path, monkeypatch):
+        import docs_gate
+
+        text = docs_gate.DOCS_OPERATIONS.read_text(encoding="utf-8")
+        doc = tmp_path / "operations.md"
+        monkeypatch.setattr(docs_gate, "DOCS_OPERATIONS", doc)
+        doc.write_text(text.replace("| `--no-gc` |", "| `--gc` |"))
+        (problem,) = docs_gate.check_options_table()
+        assert "'auto_gc'" in problem
+        doc.write_text(text.replace("| `watchdog_ms` |", "| `watchdog` |"))
+        (problem,) = docs_gate.check_options_table()
+        assert "AnalysisOptions has" in problem
 
 
 class TestBatchPin:
