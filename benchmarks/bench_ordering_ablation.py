@@ -5,13 +5,32 @@ The paper cites Bouissou's RAMS'96 heuristic for building FT BDDs
 variable's ordering").  This ablation builds the COVID-19 BDD — and a
 larger random tree's BDD — under every heuristic and a random order, and
 reports build time; node counts are printed alongside.
+
+Run as a script, it is the record behind the default order
+(``AnalysisOptions.order``, ``dfs``): per heuristic, the cold build of
+the top event's BDD (``tree_to_bdd`` in a fresh manager: median ms, the
+top BDD's node count and the kernel's) and a cold battery (a fresh
+``BatchAnalyzer`` answering ``exists TOP``, the top's MCSs on
+paper-scale trees and ``P(TOP)``: median ms), on COVID, perfbench's
+two- and three-ward templates and its two-bank template (seed 1), and
+the ``bench_server`` 70-event tree::
+
+    PYTHONPATH=src python benchmarks/bench_ordering_ablation.py
+
+It appends to ``benchmarks/results/BENCH_ordering.json`` under
+``BENCH_LABEL`` and never fails on a number (a record, not a gate).
 """
+
+import os
+import statistics
+import sys
+import time
 
 import pytest
 
 from repro.bdd import BDDManager, HEURISTICS, random_order, sift
 from repro.casestudy import build_covid_tree
-from repro.ft import RandomTreeConfig, random_tree, tree_to_bdd
+from repro.ft import RandomTreeConfig, galileo, random_tree, tree_to_bdd
 
 _LARGE = random_tree(
     7, RandomTreeConfig(n_basic_events=18, max_children=4, p_share=0.3, max_depth=5)
@@ -63,3 +82,96 @@ def bench_sifting_search(benchmark):
     base_size = _build(tree, tree.basic_events)[1].count_nodes()
     print(f"[ordering] covid/sifted: {best_size} nodes (from {base_size})")
     assert best_size <= base_size
+
+
+# ----------------------------------------------------------------------
+# Script mode: the cold-build record per heuristic
+# ----------------------------------------------------------------------
+
+
+def _record_trees():
+    """(name, tree, battery) for every tree the record covers."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
+    import corpus
+
+    templates = {
+        "covid-2or": corpus._COVID_2,  # noqa: SLF001
+        "covid-3or": corpus._COVID_3,  # noqa: SLF001
+        "bank-2x10": corpus._BANK_2,  # noqa: SLF001
+    }
+    trees = [("covid", build_covid_tree(), True)]
+    for name, template in templates.items():
+        (generated,) = corpus.build_corpus(1, (template,))
+        trees.append((name, galileo.loads(generated.text), name != "bank-2x10"))
+    server_tree = random_tree(
+        5,
+        RandomTreeConfig(
+            n_basic_events=70, max_children=5, max_depth=8, p_share=0.3
+        ),
+    )
+    trees.append(("bench_server", server_tree, False))
+    for name, tree, with_mcs in trees:
+        battery = [f"exists {tree.top}"]
+        if with_mcs:
+            battery.append({"kind": "mcs"})
+        battery.append({"kind": "probability", "formula": tree.top})
+        yield name, tree, battery
+
+
+def _median_ms(run, repeats):
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        samples.append((time.perf_counter() - start) * 1000.0)
+    return statistics.median(samples), result
+
+
+def main() -> int:
+    from bench_json import record_run
+    from repro.service import BatchAnalyzer
+
+    repeats = int(os.environ.get("BENCH_REPEATS", "3"))
+    rows = []
+    print("variable-order ablation: cold build and cold battery per heuristic")
+    print(
+        f"  {'tree':<13} {'events':>6} {'order':<12} {'top nodes':>9} "
+        f"{'kernel nodes':>12} {'build ms':>9} {'battery ms':>11}"
+    )
+    for name, tree, battery in _record_trees():
+        for heuristic in HEURISTICS:
+            build_ms, root = _median_ms(
+                lambda: tree_to_bdd(tree, order=heuristic), repeats
+            )
+            battery_ms, report = _median_ms(
+                lambda: BatchAnalyzer(tree, order=heuristic, uniform=0.01).run(
+                    battery
+                ),
+                repeats,
+            )
+            if not report.ok:
+                print(f"FAIL: battery failed on {name} under {heuristic}")
+                return 1
+            row = {
+                "tree": name,
+                "events": len(tree.basic_events),
+                "order": heuristic,
+                "top_nodes": root.count_nodes(),
+                "kernel_nodes": root.manager.node_count(),
+                "build_ms": round(build_ms, 2),
+                "battery_ms": round(battery_ms, 2),
+            }
+            rows.append(row)
+            print(
+                f"  {name:<13} {row['events']:>6} {heuristic:<12} "
+                f"{row['top_nodes']:>9} {row['kernel_nodes']:>12} "
+                f"{row['build_ms']:>9.1f} "
+                f"{row['battery_ms']:>11.1f}"
+            )
+    record_run("ordering", {"repeats": repeats, "rows": rows})
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,15 @@ from .minimal import (
     minimal_assignments_monotone_restrict,
     prime_name,
 )
-from .ordering import HEURISTICS, bfs_order, dfs_order, random_order, weight_order
+from .ordering import (
+    DEFAULT_ORDER,
+    HEURISTICS,
+    bfs_order,
+    dfs_order,
+    random_order,
+    resolve_order,
+    weight_order,
+)
 from .quantify import exists, exists_textbook, forall, is_satisfiable, is_tautology
 from .ref import TERMINAL_LEVEL, Node, Ref
 from .reorder import sift, sift_rebuild, transfer
@@ -63,10 +71,12 @@ __all__ = [
     "minimal_assignments_monotone",
     "minimal_assignments_monotone_restrict",
     "prime_name",
+    "DEFAULT_ORDER",
     "HEURISTICS",
     "bfs_order",
     "dfs_order",
     "random_order",
+    "resolve_order",
     "weight_order",
     "exists",
     "exists_textbook",

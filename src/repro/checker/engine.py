@@ -35,7 +35,7 @@ from ..logic.scope import MinimalityScope
 from .counterexample import Counterexample, algorithm4, closest_counterexample
 from .evaluate import check as algorithm2_check
 from .independence import influencing_basic_events
-from .results import IndependenceResult, SatisfactionSet
+from .results import IndependenceResult, SatisfactionSet, cube_sets
 from .satisfy import satisfying_cubes, satisfying_vectors
 from .translate import FormulaTranslator
 
@@ -50,8 +50,11 @@ class ModelChecker:
     Args:
         tree: The fault tree ``T``.
         scope: MCS/MPS minimality scope (default SUPPORT; DESIGN.md dev. 2).
-        order: Optional BDD variable order (basic-event names); defaults to
-            declaration order.
+        order: BDD variable order: a
+            :data:`~repro.bdd.ordering.HEURISTICS` name (``"declaration"``,
+            ``"dfs"``, ``"bfs"``, ``"weight"``), an explicit list of
+            basic-event names, or ``None`` for the default tree DFS order
+            (:func:`~repro.bdd.ordering.resolve_order`).
         monotone_fast_path: Use the single-pass minsol MCS/MPS construction
             for monotone operands (ablation arm; results are identical).
         auto_gc: Arm automatic BDD garbage collection on the session's
@@ -71,7 +74,7 @@ class ModelChecker:
         self,
         tree: FaultTree,
         scope: MinimalityScope = MinimalityScope.SUPPORT,
-        order: Optional[Sequence[str]] = None,
+        order: Union[None, str, Sequence[str]] = None,
         monotone_fast_path: bool = False,
         auto_gc: bool = False,
         auto_reorder: bool = False,
@@ -183,17 +186,30 @@ class ModelChecker:
             vectors=tuple(satisfying_vectors(self.translator, parsed)),
         )
 
+    def failed_sets(self, formula: FormulaLike) -> List[FrozenSet[str]]:
+        """``satisfaction_set(formula).failed_sets()``, read off the BDD's
+        cubes alone: the total vectors, exponential in the don't-cares,
+        are never expanded."""
+        cubes = satisfying_cubes(self.translator, self._formula(formula))
+        return cube_sets(cubes, True)
+
+    def operational_sets(self, formula: FormulaLike) -> List[FrozenSet[str]]:
+        """``satisfaction_set(formula).operational_sets()`` from the
+        cubes alone (see :meth:`failed_sets`)."""
+        cubes = satisfying_cubes(self.translator, self._formula(formula))
+        return cube_sets(cubes, False)
+
     def minimal_cut_sets(self, element: Optional[str] = None) -> List[FrozenSet[str]]:
         """MCSs of ``element`` (default: the top level event) via
         ``[[MCS(element)]]``."""
         target = element if element is not None else self.tree.top
-        return self.satisfaction_set(MCS(Atom(target))).failed_sets()
+        return self.failed_sets(MCS(Atom(target)))
 
     def minimal_path_sets(self, element: Optional[str] = None) -> List[FrozenSet[str]]:
         """MPSs of ``element`` (default: the top level event) via
         ``[[MPS(element)]]``."""
         target = element if element is not None else self.tree.top
-        return self.satisfaction_set(MPS(Atom(target))).operational_sets()
+        return self.operational_sets(MPS(Atom(target)))
 
     # ------------------------------------------------------------------
     # Independence (IDP / SUP) and IBE

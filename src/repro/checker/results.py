@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from ..logic.ast_nodes import Formula
 from ..logic.parser import format_formula
+
+
+def cube_sets(
+    cubes: Iterable[Dict[str, bool]], value: bool
+) -> List[FrozenSet[str]]:
+    """The distinct sets of events each cube assigns ``value`` (True:
+    the failed-set view, False: the operational-set view), smallest
+    first, then by name."""
+    sets = {
+        frozenset(name for name, bit in cube.items() if bit == value)
+        for cube in cubes
+    }
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -43,19 +56,11 @@ class SatisfactionSet:
         one minimal cut set, so this is the list FTA practitioners expect
         (e.g. the paper's "single mcs {IS, H1, H5}").
         """
-        sets = {
-            frozenset(name for name, value in cube.items() if value)
-            for cube in self.cubes
-        }
-        return sorted(sets, key=lambda s: (len(s), sorted(s)))
+        return cube_sets(self.cubes, True)
 
     def operational_sets(self) -> List[FrozenSet[str]]:
         """Operational-event sets, one per cube — the MPS view."""
-        sets = {
-            frozenset(name for name, value in cube.items() if not value)
-            for cube in self.cubes
-        }
-        return sorted(sets, key=lambda s: (len(s), sorted(s)))
+        return cube_sets(self.cubes, False)
 
     def describe(self, view: str = "failed") -> str:
         """Human-readable rendering used by the CLI and the case study.

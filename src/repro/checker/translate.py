@@ -21,7 +21,7 @@ cache in case they are used several times").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..bdd.manager import BDDManager
 from ..bdd.minimal import (
@@ -30,6 +30,7 @@ from ..bdd.minimal import (
     minimal_assignments,
     minimal_assignments_monotone,
 )
+from ..bdd.ordering import resolve_order
 from ..bdd.ref import Ref
 from ..errors import LogicError
 from ..ft.to_bdd import TreeTranslator
@@ -72,8 +73,13 @@ class FormulaTranslator:
     Args:
         tree: The fault tree ``T``.
         manager: BDD manager to build in; a fresh one over the tree's basic
-            events (declaration order, or ``order``) is created if omitted.
+            events, in ``order``, is created if omitted.
         scope: Minimality scope for MCS/MPS (DESIGN.md deviation 2).
+        order: Variable order of a fresh manager: a
+            :data:`~repro.bdd.ordering.HEURISTICS` name, an explicit list
+            of basic events, or ``None`` for the default (``dfs``; see
+            :func:`~repro.bdd.ordering.resolve_order`).  Ignored when
+            ``manager`` is given.
         monotone_fast_path: When True, MCS/MPS of *monotone* operands use
             the single-pass minsol construction instead of the paper's
             primed-relation construction (both are implemented; the
@@ -94,7 +100,7 @@ class FormulaTranslator:
         tree: FaultTree,
         manager: Optional[BDDManager] = None,
         scope: MinimalityScope = MinimalityScope.SUPPORT,
-        order: Optional[Sequence[str]] = None,
+        order: Union[None, str, Sequence[str]] = None,
         monotone_fast_path: bool = False,
         auto_gc: bool = False,
         auto_reorder: bool = False,
@@ -108,7 +114,7 @@ class FormulaTranslator:
             # subset relation (AND_k v'_k => v_k) of the MCS construction
             # is then linear-size, whereas appending all primes at the end
             # makes it exponential in the number of events.
-            base = list(order if order is not None else tree.basic_events)
+            base = resolve_order(tree, order)
             interleaved: List[str] = []
             for name in base:
                 interleaved.append(name)

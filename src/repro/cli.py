@@ -34,6 +34,7 @@ from .ft.galileo import load
 from .ft.tree import FaultTree
 from .logic.parser import parse_request
 from .logic.scope import MinimalityScope
+from .service.server import ServerConfig
 from .viz.ascii_tree import render_tree
 from .viz.dot import tree_to_dot
 from .viz.propagation import counterexample_view
@@ -100,6 +101,12 @@ _ANALYSIS_FLAGS = (
         "help": "arm automatic in-place variable reordering (Rudell "
         "sifting) when live BDD nodes grow past the kernel trigger",
     }),
+    ("order", "--order", ("batch", "serve"), {
+        "metavar": "NAME",
+        "help": "static BDD variable order every kernel is built in: "
+        "dfs (default, the tree's depth-first order), declaration, bfs "
+        "or weight; part of the snapshot-store key",
+    }),
     ("uniform", "--uniform", ("batch", "serve"), {
         "type": float,
         "help": "uniform failure probability for PFL queries",
@@ -145,6 +152,11 @@ _ANALYSIS_FLAGS = (
 )
 
 
+#: The query-file keys of ``bfl batch`` that are not analysis options
+#: (those are ``AnalysisOptions.file_keys()``); any other key exits 2.
+_BATCH_FILE_KEYS = ("queries", "store", "tree", "trees", "variants")
+
+
 def _add_analysis_flags(
     parser: argparse.ArgumentParser, command: str
 ) -> None:
@@ -169,13 +181,13 @@ def _analysis_options(args: argparse.Namespace, data: dict, base=None):
 
 def _store_kernels(store, analyzer, names: Sequence[str]) -> None:
     """Translate the ``names`` scenarios' trees and put their kernels
-    into ``store`` under the tree fingerprints."""
-    from .service import tree_fingerprint
+    into ``store`` under their kernel keys (tree plus order)."""
+    from .service import kernel_key
 
     analyzer.prewarm_trees(names)
     for name in names:
         store.put(
-            tree_fingerprint(analyzer.trees[name]),
+            kernel_key(analyzer.trees[name], analyzer.options.order),
             analyzer.session(name).kernel_snapshot(),
         )
 
@@ -318,6 +330,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
           "scope": "support",
           "gc": true,                       // automatic BDD garbage collection
           "auto_reorder": false,            // automatic in-place sifting
+          "order": "dfs",                   // or declaration, bfs, weight
           "workers": 4,                     // multi-process shard execution
           "store": "kernels/",              // kernel snapshot store directory
           "deadline_ms": 60000,             // whole-battery wall-clock budget
@@ -348,11 +361,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     the battery out over N worker processes.  ``--store DIR`` (or the
     file's ``store`` key) is the content-addressed kernel-snapshot
     directory that ``bfl serve --store`` uses too, one
-    ``<fingerprint>.snap`` entry per tree.  Per scenario, a store hit
-    warm-starts the session; a miss is translated up front and put into
-    the store before the battery runs.  Either way this run's workers
-    warm-start, and the next run (or a server on the same directory)
-    skips tree translation.
+    ``<kernel-key>.snap`` entry per tree and variable order.  Per
+    scenario, a store hit warm-starts the session; a miss is translated
+    up front and put into the store before the battery runs.  Either
+    way this run's workers warm-start, and the next run (or a server on
+    the same directory) skips tree translation.
 
     ``variants`` declares copy-on-write what-if scenarios: each entry
     names a base scenario (default ``"default"``) plus an edit script
@@ -365,12 +378,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     top of the query file's key (the file wins on name clashes).
 
     Exit code 0 when every query succeeded, 1 when any individual query
-    errored (the report still lists all of them), 2 on a malformed file.
+    errored (the report still lists all of them), 2 on a malformed file
+    — including any key not listed above, so a typo such as ``"ordr"``
+    cannot silently run under the defaults.
     """
     import json
 
     from .errors import SnapshotIntegrityError
-    from .service import BatchAnalyzer, SnapshotStore, tree_fingerprint
+    from .service import (
+        AnalysisOptions,
+        BatchAnalyzer,
+        SnapshotStore,
+        kernel_key,
+    )
     from .service.queries import QuerySpecError
 
     if args.list_kinds:
@@ -393,6 +413,21 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise QuerySpecError(
             "query file must be a JSON object with a 'queries' list"
         )
+    if "snapshot" in data:
+        raise QuerySpecError(
+            "the query-file key 'snapshot' is gone: use 'store' (a "
+            "kernel-snapshot directory, shared with bfl serve --store)"
+        )
+    allowed = _BATCH_FILE_KEYS + AnalysisOptions.file_keys()
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise QuerySpecError(
+            "unknown query-file key(s) "
+            + ", ".join(repr(key) for key in unknown)
+            + " (allowed: "
+            + ", ".join(sorted(allowed))
+            + ")"
+        )
 
     extra_trees = data.get("trees", {})
     if not isinstance(extra_trees, dict):
@@ -404,11 +439,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         scenarios[name] = _load_tree(spec)
     options = _analysis_options(args, data)
 
-    if "snapshot" in data:
-        raise QuerySpecError(
-            "the query-file key 'snapshot' is gone: use 'store' (a "
-            "kernel-snapshot directory, shared with bfl serve --store)"
-        )
     store_path = args.store or data.get("store")
     if store_path is not None and not isinstance(store_path, str):
         raise QuerySpecError(
@@ -418,7 +448,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     snapshots = {}
     if store is not None:
         for name, tree in scenarios.items():
-            entry = store.get(tree_fingerprint(tree))
+            entry = store.get(kernel_key(tree, options.order))
             if entry is not None:
                 snapshots[name] = entry
 
@@ -490,7 +520,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scenarios — and the next server process — warm-start instead of
     rebuilding.  SIGTERM/SIGINT drain gracefully.
     """
-    from .service import AnalysisServer, ServerConfig
+    from .service import AnalysisServer
     from .service.queries import QuerySpecError
     from .service.server import SERVE_DEFAULTS
 
@@ -757,14 +787,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="register an extra named scenario (Galileo file or "
         "'covid'); repeatable.  --tree provides the 'default' scenario",
     )
+    # The server defaults are ServerConfig's own, stated once there.
+    serve_defaults = ServerConfig()
     p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
+        "--host", default=serve_defaults.host, help="bind address"
     )
     p_serve.add_argument(
         "--port",
         type=int,
-        default=8346,
-        help="bind port (0 picks an ephemeral port, printed at startup)",
+        default=serve_defaults.port,
+        help="bind port (0 picks an ephemeral port, printed at startup; "
+        "default %(default)s)",
     )
     p_serve.add_argument(
         "--store",
@@ -776,21 +809,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--pool-size",
         type=int,
-        default=8,
-        help="live-session LRU capacity (default 8)",
+        default=serve_defaults.pool_size,
+        help="live-session LRU capacity (default %(default)s)",
     )
     p_serve.add_argument(
         "--max-concurrency",
         type=int,
-        default=4,
-        help="batteries evaluating at once (default 4)",
+        default=serve_defaults.max_concurrency,
+        help="batteries evaluating at once (default %(default)s)",
     )
     p_serve.add_argument(
         "--queue-limit",
         type=int,
-        default=16,
+        default=serve_defaults.queue_limit,
         help="batteries allowed to wait for a slot before requests "
-        "are rejected 503 server-busy (default 16)",
+        "are rejected 503 server-busy (default %(default)s)",
     )
     p_serve.add_argument(
         "--rate-limit",

@@ -22,6 +22,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from ..bdd.allsat import iter_cubes
 from ..bdd.manager import BDDManager
+from ..bdd.ordering import resolve_order
 from ..bdd.minimal import (
     maximal_assignments_monotone,
     minimal_assignments_monotone,
@@ -157,7 +158,7 @@ def minimal_cut_sets(
     construction applies) and reads one MCS off every 1-path.
     """
     if manager is None:
-        manager = BDDManager(tree.basic_events)
+        manager = BDDManager(resolve_order(tree))
     root = tree_to_bdd(tree, manager, element)
     scope = sorted(manager.support(root), key=manager.level_of)
     minimal = minimal_assignments_monotone(manager, root, scope)
@@ -179,7 +180,7 @@ def minimal_path_sets(
     element's negation (DESIGN.md deviation 1).
     """
     if manager is None:
-        manager = BDDManager(tree.basic_events)
+        manager = BDDManager(resolve_order(tree))
     root = tree_to_bdd(tree, manager, element)
     scope = sorted(manager.support(root), key=manager.level_of)
     negated = manager.negate(root)
@@ -209,7 +210,7 @@ def structural_importance(
     if basic_event not in tree.basic_events:
         raise ValueError(f"{basic_event!r} is not a basic event of the tree")
     if manager is None:
-        manager = BDDManager(tree.basic_events)
+        manager = BDDManager(resolve_order(tree))
     root = tree_to_bdd(tree, manager, element)
     on = manager.restrict(root, basic_event, True)
     off = manager.restrict(root, basic_event, False)

@@ -21,9 +21,11 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Union,
 )
 
 from ..bdd.manager import BDDManager
+from ..bdd.ordering import resolve_order
 from ..bdd.ref import Ref
 from ..errors import SnapshotError, VariableError
 from .edits import changed_elements
@@ -326,7 +328,7 @@ def tree_to_bdd(
     tree: FaultTree,
     manager: Optional[BDDManager] = None,
     element: Optional[str] = None,
-    order: Optional[Sequence[str]] = None,
+    order: Union[None, str, Sequence[str]] = None,
     auto_gc: bool = False,
     auto_reorder: bool = False,
 ) -> Ref:
@@ -336,10 +338,12 @@ def tree_to_bdd(
         tree: Fault tree to translate.
         manager: Target manager; a fresh one is created if omitted.
         element: Element to translate (default: the top level event).
-        order: Variable order for a fresh manager (default: declaration
-            order).  Ignored when ``manager`` is given.  Heuristic orders
-            from :mod:`repro.bdd.ordering` make good *seeds* for the
-            in-place sifter the ``auto_reorder`` knob arms.
+        order: Variable order for a fresh manager: a heuristic name from
+            :data:`repro.bdd.ordering.HEURISTICS`, an explicit list, or
+            ``None`` for the default tree DFS order.  Ignored when
+            ``manager`` is given.  Heuristic orders also make good
+            *seeds* for the in-place sifter the ``auto_reorder`` knob
+            arms.
         auto_gc: Arm the manager's automatic garbage collection (dead
             intermediate gate BDDs are reclaimed at element boundaries).
         auto_reorder: Arm automatic in-place sifting when live nodes grow
@@ -349,7 +353,7 @@ def tree_to_bdd(
         The BDD for ``Psi_FT(element)``.
     """
     if manager is None:
-        manager = BDDManager(order if order is not None else tree.basic_events)
+        manager = BDDManager(resolve_order(tree, order))
     if auto_gc or auto_reorder:
         # Unrequested knobs pass None so a pre-armed manager stays armed.
         manager.configure_memory(

@@ -4,6 +4,7 @@ kernel's weighted-evaluation pass."""
 
 from .importance import ImportanceRow, importance_table, render_importance_table
 from .measure import (
+    PROBABILITY_RTOL,
     MissingProbabilityError,
     ZeroProbabilityEvidenceError,
     bdd_probability,
@@ -12,6 +13,7 @@ from .measure import (
     enumeration_probability,
     event_probabilities,
     min_cut_upper_bound,
+    probabilities_agree,
     rare_event_approximation,
     recursive_probability,
 )
@@ -23,6 +25,7 @@ from .queries import (
 )
 
 __all__ = [
+    "PROBABILITY_RTOL",
     "ImportanceRow",
     "MissingProbabilityError",
     "ProbQuery",
@@ -37,6 +40,7 @@ __all__ = [
     "event_probabilities",
     "importance_table",
     "min_cut_upper_bound",
+    "probabilities_agree",
     "rare_event_approximation",
     "recursive_probability",
     "render_importance_table",

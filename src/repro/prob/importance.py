@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional
 
 from ..bdd.manager import BDDManager
+from ..bdd.ordering import resolve_order
 from ..ft.analysis import minimal_cut_sets
 from ..ft.to_bdd import tree_to_bdd
 from ..ft.tree import FaultTree
@@ -53,10 +54,10 @@ def importance_table(
     ever valued.
     """
     probabilities = event_probabilities(tree, overrides)
-    manager = BDDManager(tree.basic_events)
+    manager = BDDManager(resolve_order(tree))
     root = tree_to_bdd(tree, manager, element)
     top_probability = bdd_probability(manager, root, probabilities)
-    cuts = minimal_cut_sets(tree, element, manager=BDDManager(tree.basic_events))
+    cuts = minimal_cut_sets(tree, element)
 
     rows: List[ImportanceRow] = []
     for name in tree.basic_events:

@@ -38,7 +38,7 @@ Quickstart::
     print(report.to_json(indent=2))
 """
 
-from .batch import AnalysisSession, BatchAnalyzer, tree_fingerprint
+from .batch import AnalysisSession, BatchAnalyzer, kernel_key, tree_fingerprint
 from .options import AnalysisOptions
 from .parallel import Shard, estimate_cost, plan_shards
 from .pool import SessionPool, build_session
@@ -61,6 +61,7 @@ __all__ = [
     "TokenBucket",
     "build_session",
     "estimate_cost",
+    "kernel_key",
     "plan_shards",
     "specs_from_any",
     "tree_fingerprint",

@@ -72,12 +72,28 @@ logger = logging.getLogger(__name__)
 def tree_fingerprint(tree: FaultTree) -> str:
     """Stable structural identity of a tree (Galileo text digest).
 
-    Guards kernel-snapshot warm starts: a snapshot records the
-    fingerprint of the tree it was built from, and adopting it into a
-    scenario with a different fingerprint raises instead of silently
-    answering queries from stale BDDs.
+    The tree half of :func:`kernel_key`, which guards kernel-snapshot
+    warm starts: a snapshot records the key of the tree and order it was
+    built from, and adopting it into a scenario with a different key
+    raises instead of silently answering queries from stale BDDs.
     """
     return hashlib.sha256(galileo_dumps(tree).encode("utf-8")).hexdigest()
+
+
+def kernel_key(tree: FaultTree, order: str) -> str:
+    """Content address of a kernel: the tree's structure plus the
+    variable order it was built in (an ``AnalysisOptions.order`` name).
+
+    A sha256 hex digest over :func:`tree_fingerprint` and ``order``.
+    The session pool, the snapshot store's entry names and the
+    ``BatchAnalyzer(snapshots=...)`` check all key on it, so a kernel
+    built under one order is never adopted under another — and entries
+    keyed by the bare tree fingerprint (written before orders were part
+    of the key) are never matched at all.
+    """
+    return hashlib.sha256(
+        f"{tree_fingerprint(tree)}:{order}".encode("ascii")
+    ).hexdigest()
 
 
 class AnalysisSession:
@@ -335,8 +351,9 @@ class BatchAnalyzer:
         snapshots: Optional scenario-name -> kernel-snapshot mapping (as
             produced by :meth:`kernel_snapshots` or read from a
             :class:`~repro.service.store.SnapshotStore`) to warm-start
-            sessions from; each entry's tree fingerprint must match the
-            scenario's tree.
+            sessions from; each entry's ``tree`` value must be the
+            scenario's :func:`kernel_key` under ``options.order`` (the
+            tree's structure *and* the variable order).
         variants: Optional variant-name -> definition mapping, the
             programmatic face of the query-file ``variants:`` key.  Each
             definition is ``{"base": scenario, "edits": [...],
@@ -577,10 +594,11 @@ class BatchAnalyzer:
                 f"scenario {name!r}: snapshot entries need 'kernel' and "
                 "'tree' (fingerprint) keys"
             )
-        if snapshot["tree"] != tree_fingerprint(tree):
+        if snapshot["tree"] != kernel_key(tree, self.options.order):
             raise SnapshotError(
                 f"scenario {name!r}: snapshot was taken from a "
-                "different tree (fingerprint mismatch)"
+                "different tree or under another variable order than "
+                f"{self.options.order!r} (fingerprint mismatch)"
             )
         return snapshot["kernel"]
 
@@ -642,12 +660,13 @@ class BatchAnalyzer:
                 f"unknown scenario {name!r} "
                 f"(registered: {', '.join(sorted(self._trees)) or 'none'})"
             )
-        if tree_fingerprint(session.tree) != tree_fingerprint(
-            self._trees[name]
+        if kernel_key(session.tree, session.options.order) != kernel_key(
+            self._trees[name], self.options.order
         ):
             raise SnapshotError(
                 f"scenario {name!r}: adopted session was built from a "
-                "different tree (fingerprint mismatch)"
+                "different tree or under another variable order "
+                "(fingerprint mismatch)"
             )
         self._sessions[name] = session
         return session
@@ -731,7 +750,7 @@ class BatchAnalyzer:
         store."""
         return {
             name: {
-                "tree": tree_fingerprint(self._trees[name]),
+                "tree": kernel_key(self._trees[name], self.options.order),
                 "kernel": self.session(name).kernel_snapshot(),
             }
             for name in self._trees
@@ -761,7 +780,7 @@ class BatchAnalyzer:
                 and session.checker.translator.tree_translator.cached_elements
             ):
                 snapshots[name] = {
-                    "tree": tree_fingerprint(session.tree),
+                    "tree": kernel_key(session.tree, self.options.order),
                     "kernel": session.kernel_snapshot(),
                 }
             elif name in self._snapshots:

@@ -60,7 +60,7 @@ from ..errors import (
     error_kind,
 )
 from ..ft.tree import FaultTree
-from .batch import AnalysisSession, BatchAnalyzer, tree_fingerprint
+from .batch import AnalysisSession, BatchAnalyzer, kernel_key
 from .options import AnalysisOptions, check_int, check_number
 from .pool import SessionPool, overrides_digest
 from .queries import DEFAULT_SCENARIO, BatchReport, specs_from_any
@@ -114,9 +114,10 @@ _REASONS = {
 }
 
 #: Request-body keys a battery may carry beyond the query list.  The
-#: rest of the ``bfl batch`` file surface (trees, variants, workers,
-#: snapshots) is *server* state, fixed at startup — a request trying to
-#: smuggle it in gets a 400 instead of silently diverging.
+#: rest of the ``bfl batch`` file surface (trees, variants, workers, the
+#: variable order, snapshots) is *server* state, fixed at startup — a
+#: request trying to smuggle it in gets a 400 instead of silently
+#: diverging.
 _BATTERY_OPTION_KEYS = frozenset(
     {"probabilities", "uniform", "deadline_ms", "query_timeout_ms"}
 )
@@ -280,8 +281,10 @@ class AnalysisServer:
         if not trees:
             raise QuerySpecError("AnalysisServer needs at least one tree")
         self._trees: Dict[str, FaultTree] = dict(trees)
-        self._fingerprints: Dict[str, str] = {
-            name: tree_fingerprint(tree)
+        # The content address of each scenario's kernel in the pool and
+        # the store: its tree plus the server's one variable order.
+        self._kernel_keys: Dict[str, str] = {
+            name: kernel_key(tree, self.config.analysis.order)
             for name, tree in self._trees.items()
         }
         if store is None and self.config.store_path:
@@ -649,11 +652,12 @@ class AnalysisServer:
         scenarios = []
         for name in sorted(self._trees):
             tree = self._trees[name]
-            fingerprint = self._fingerprints[name]
+            fingerprint = self._kernel_keys[name]
             scenarios.append(
                 {
                     "name": name,
                     "fingerprint": fingerprint,
+                    "order": self.config.analysis.order,
                     "top": tree.top,
                     "basic_events": len(tree.basic_events),
                     "pooled": fingerprint in pooled_prefixes,
@@ -848,12 +852,13 @@ class AnalysisServer:
     def _pool_key(self, name: str, analysis: AnalysisOptions) -> str:
         """Pool key for one scenario under one set of request weights.
 
-        The kernel is weight-independent, so the content address
-        (fingerprint) is the key; requests carrying PFL overrides get a
+        The kernel is weight-independent, so its content address
+        (:func:`~repro.service.batch.kernel_key`: tree plus the server's
+        variable order) is the key; requests carrying PFL overrides get a
         ``:digest`` suffix because a session's probability answers are
         baked at construction.
         """
-        fingerprint = self._fingerprints[name]
+        fingerprint = self._kernel_keys[name]
         overrides = analysis.overrides_for(name, self._trees[name])
         if not overrides:
             return fingerprint
@@ -877,7 +882,7 @@ class AnalysisServer:
             if session is not None:
                 pinned[name] = session
             elif self.store is not None:
-                entry = self.store.get(self._fingerprints[name])
+                entry = self.store.get(self._kernel_keys[name])
                 if entry is not None:
                     # Warm tier hit: the per-request analyzer will
                     # load_snapshot this instead of rebuilding (and
@@ -899,7 +904,7 @@ class AnalysisServer:
                     pinned[name] = self.pool.adopt(
                         keys[name],
                         session,
-                        fingerprint=self._fingerprints[name],
+                        fingerprint=self._kernel_keys[name],
                     )
             return report
         finally:

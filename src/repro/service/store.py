@@ -1,18 +1,21 @@
 """Content-addressed on-disk snapshot store (the warm cache tier).
 
-A :class:`SnapshotStore` is a directory of kernel snapshots keyed by the
-PR-5 sha256 Galileo tree fingerprint
-(:func:`repro.service.batch.tree_fingerprint`): one file per distinct
-tree, named ``<fingerprint>.snap``.  Content addressing makes the store
-self-validating — an entry can only ever warm-start a scenario whose
-tree hashes to the same fingerprint, so renamed scenarios, edited trees
-and multi-tenant servers all share one cache directory safely.  Both
+A :class:`SnapshotStore` is a directory of kernel snapshots keyed by
+kernel key (:func:`repro.service.batch.kernel_key`, a sha256 over the
+tree's Galileo fingerprint and the variable order the kernel was built
+in): one file per distinct tree and order, named ``<key>.snap``.
+Content addressing makes the store self-validating — an entry can only
+ever warm-start a scenario whose tree and order hash to the same key, so
+renamed scenarios, edited trees, servers running other orders and
+multi-tenant servers all share one cache directory safely.  Entries
+named by the bare tree fingerprint (written before the order was part
+of the key) match no key and are simply never read.  Both
 ``bfl serve --store`` and ``bfl batch --store`` read and write it.
 
 Each entry is the kernel snapshot from
 :meth:`~repro.bdd.manager.BDDManager.save_snapshot` in the kernel's one
 file encoding (:func:`~repro.bdd.manager.encode_snapshot`): a JSON
-header line, which also carries the ``tree`` fingerprint, followed by
+header line, which also carries the ``tree`` (kernel key), followed by
 the raw int64 columns that load via buffer adoption.  The snapshot's
 sha256 content checksum covers the columns, so on-disk bit rot is
 caught at load time (:class:`~repro.errors.SnapshotIntegrityError`) and
@@ -47,7 +50,7 @@ def _is_fingerprint(text: str) -> bool:
 
 
 class SnapshotStore:
-    """Directory of kernel snapshots keyed by tree fingerprint.
+    """Directory of kernel snapshots keyed by kernel key (tree + order).
 
     Args:
         path: Store directory (created on first use).
@@ -77,7 +80,7 @@ class SnapshotStore:
         """The file that holds (or would hold) ``fingerprint``'s entry."""
         if not _is_fingerprint(fingerprint):
             raise SnapshotError(
-                f"not a tree fingerprint: {fingerprint!r} (expected a "
+                f"not a kernel key: {fingerprint!r} (expected a "
                 "sha256 hex digest)"
             )
         return self.path / f"{fingerprint}.snap"

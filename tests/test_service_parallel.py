@@ -40,6 +40,7 @@ from repro.service import (
     QuerySpec,
     SnapshotStore,
     estimate_cost,
+    kernel_key,
     plan_shards,
     specs_from_any,
     tree_fingerprint,
@@ -528,7 +529,7 @@ class TestServiceSnapshots:
             path = store.put(entry["tree"], entry["kernel"])
             assert path.name == f"{entry['tree']}.snap"
         loaded = {
-            name: store.get(tree_fingerprint(tree))
+            name: store.get(kernel_key(tree, "dfs"))
             for name, tree in trees.items()
         }
         assert all(entry is not None for entry in loaded.values())
@@ -615,7 +616,7 @@ class TestBatchCLI:
         assert cli_main(["batch", queries, "--store", str(store_dir)]) == 0
         first = json.loads(capsys.readouterr().out)
         store = SnapshotStore(store_dir)
-        assert store.fingerprints() == [tree_fingerprint(build_covid_tree())]
+        assert store.fingerprints() == [kernel_key(build_covid_tree(), "dfs")]
         hits = []
         get = SnapshotStore.get
 
@@ -649,7 +650,7 @@ class TestBatchCLI:
         store_dir = tmp_path / "kernels"
         assert cli_main(["batch", queries, "--store", str(store_dir)]) == 0
         capsys.readouterr()
-        fingerprint = tree_fingerprint(build_covid_tree())
+        fingerprint = kernel_key(build_covid_tree(), "dfs")
         corrupt_store_entry(SnapshotStore(store_dir), fingerprint, seed=7)
         with pytest.raises(SnapshotIntegrityError):
             BDDManager.load_snapshot(

@@ -34,7 +34,7 @@ from repro.service import (
     ServerConfig,
     SnapshotStore,
     TokenBucket,
-    tree_fingerprint,
+    kernel_key,
 )
 from repro.service.server import ROUTES
 from repro.testing.chaos import corrupt_store_entry
@@ -683,7 +683,7 @@ class TestCLIEndToEnd:
         assert "Traceback" not in out
         assert "drained, exiting" in out
         assert [entry.name for entry in store_dir.iterdir()] == [
-            f"{tree_fingerprint(covid)}.snap"
+            f"{kernel_key(covid, 'dfs')}.snap"
         ]
 
 
