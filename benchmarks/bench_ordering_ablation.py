@@ -7,18 +7,22 @@ larger random tree's BDD — under every heuristic and a random order, and
 reports build time; node counts are printed alongside.
 
 Run as a script, it is the record behind the default order
-(``AnalysisOptions.order``, ``dfs``): per heuristic, the cold build of
-the top event's BDD (``tree_to_bdd`` in a fresh manager: median ms, the
-top BDD's node count and the kernel's) and a cold battery (a fresh
-``BatchAnalyzer`` answering ``exists TOP``, the top's MCSs on
-paper-scale trees and ``P(TOP)``: median ms), on COVID, perfbench's
-two- and three-ward templates and its two-bank template (seed 1), and
-the ``bench_server`` 70-event tree::
+(``repro.bdd.ordering.DEFAULT_ORDER``, ``dfs``): per heuristic, the cold
+build of the top event's BDD (``tree_to_bdd`` in a fresh manager: median
+ms, the top BDD's node count and the kernel's) and a cold battery (a
+fresh ``ModelChecker`` in that order answering ``exists TOP``, the top's
+MCSs on paper-scale trees and ``P(TOP)``: median ms and quartiles), on
+COVID, perfbench's two- and three-ward templates and its two-bank
+template (seed 1), and the ``bench_server`` 70-event tree::
 
     PYTHONPATH=src python benchmarks/bench_ordering_ablation.py
 
-It appends to ``benchmarks/results/BENCH_ordering.json`` under
-``BENCH_LABEL`` and never fails on a number (a record, not a gate).
+Repeats (``BENCH_REPEATS``, default 3) are interleaved across the
+heuristics, so machine drift hits every order alike.  It then prints,
+per tree, dfs's cold battery against declaration order's: the ratio of
+medians and the spread of the per-repeat ratios.  It appends to
+``benchmarks/results/BENCH_ordering.json`` under ``BENCH_LABEL`` and
+never fails on a number (a record, not a gate).
 """
 
 import os
@@ -30,6 +34,7 @@ import pytest
 
 from repro.bdd import BDDManager, HEURISTICS, random_order, sift
 from repro.casestudy import build_covid_tree
+from repro.checker import ModelChecker
 from repro.ft import RandomTreeConfig, galileo, random_tree, tree_to_bdd
 
 _LARGE = random_tree(
@@ -119,57 +124,104 @@ def _record_trees():
         yield name, tree, battery
 
 
-def _median_ms(run, repeats):
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run()
-        samples.append((time.perf_counter() - start) * 1000.0)
-    return statistics.median(samples), result
+def _timed_ms(run):
+    start = time.perf_counter()
+    result = run()
+    return (time.perf_counter() - start) * 1000.0, result
+
+
+def _quartiles(samples):
+    if len(samples) < 2:
+        return samples[0], samples[0]
+    q1, _, q3 = statistics.quantiles(samples, n=4)
+    return q1, q3
+
+
+def _cold_battery(tree, heuristic, battery):
+    checker = ModelChecker(tree, order=heuristic)
+    weights = dict.fromkeys(tree.basic_events, 0.01)
+    return [checker.execute(spec, probabilities=weights) for spec in battery]
 
 
 def main() -> int:
     from bench_json import record_run
-    from repro.service import BatchAnalyzer
 
     repeats = int(os.environ.get("BENCH_REPEATS", "3"))
+    heuristics = list(HEURISTICS)
     rows = []
+    ratios = []
     print("variable-order ablation: cold build and cold battery per heuristic")
     print(
         f"  {'tree':<13} {'events':>6} {'order':<12} {'top nodes':>9} "
-        f"{'kernel nodes':>12} {'build ms':>9} {'battery ms':>11}"
+        f"{'kernel nodes':>12} {'build ms':>9} {'battery ms':>11} "
+        f"{'battery q1-q3':>15}"
     )
     for name, tree, battery in _record_trees():
-        for heuristic in HEURISTICS:
-            build_ms, root = _median_ms(
-                lambda: tree_to_bdd(tree, order=heuristic), repeats
-            )
-            battery_ms, report = _median_ms(
-                lambda: BatchAnalyzer(tree, order=heuristic, uniform=0.01).run(
-                    battery
-                ),
-                repeats,
-            )
-            if not report.ok:
-                print(f"FAIL: battery failed on {name} under {heuristic}")
-                return 1
+        builds = {heuristic: [] for heuristic in heuristics}
+        batteries = {heuristic: [] for heuristic in heuristics}
+        roots = {}
+        for repeat in range(repeats):
+            shift = repeat % len(heuristics)
+            for heuristic in heuristics[shift:] + heuristics[:shift]:
+                build_ms, roots[heuristic] = _timed_ms(
+                    lambda: tree_to_bdd(tree, order=heuristic)
+                )
+                battery_ms, results = _timed_ms(
+                    lambda: _cold_battery(tree, heuristic, battery)
+                )
+                if not all(result.ok for result in results):
+                    print(f"FAIL: battery failed on {name} under {heuristic}")
+                    return 1
+                builds[heuristic].append(build_ms)
+                batteries[heuristic].append(battery_ms)
+        for heuristic in heuristics:
+            root = roots[heuristic]
+            q1, q3 = _quartiles(batteries[heuristic])
             row = {
                 "tree": name,
                 "events": len(tree.basic_events),
                 "order": heuristic,
                 "top_nodes": root.count_nodes(),
                 "kernel_nodes": root.manager.node_count(),
-                "build_ms": round(build_ms, 2),
-                "battery_ms": round(battery_ms, 2),
+                "build_ms": round(statistics.median(builds[heuristic]), 2),
+                "battery_ms": round(statistics.median(batteries[heuristic]), 2),
+                "battery_q1_ms": round(q1, 2),
+                "battery_q3_ms": round(q3, 2),
             }
             rows.append(row)
             print(
                 f"  {name:<13} {row['events']:>6} {heuristic:<12} "
                 f"{row['top_nodes']:>9} {row['kernel_nodes']:>12} "
-                f"{row['build_ms']:>9.1f} "
-                f"{row['battery_ms']:>11.1f}"
+                f"{row['build_ms']:>9.1f} {row['battery_ms']:>11.1f} "
+                f"{q1:>7.1f}-{q3:<7.1f}"
             )
-    record_run("ordering", {"repeats": repeats, "rows": rows})
+        paired = [
+            dfs / declaration
+            for dfs, declaration in zip(batteries["dfs"], batteries["declaration"])
+        ]
+        q1, q3 = _quartiles(paired)
+        ratio = {
+            "tree": name,
+            "median_ratio": round(
+                statistics.median(batteries["dfs"])
+                / statistics.median(batteries["declaration"]),
+                3,
+            ),
+            "paired_q1": round(q1, 3),
+            "paired_q3": round(q3, 3),
+        }
+        ratios.append(ratio)
+    print("dfs cold battery / declaration cold battery (ratio of medians; "
+          "per-repeat ratio quartiles)")
+    for ratio in ratios:
+        print(
+            f"  {ratio['tree']:<13} {ratio['median_ratio']:>6.3f} "
+            f"({ratio['paired_q1']:.3f}-{ratio['paired_q3']:.3f})"
+        )
+    record_run(
+        "ordering",
+        {"repeats": repeats, "rows": rows, "dfs_vs_declaration": ratios},
+    )
     return 0
 
 

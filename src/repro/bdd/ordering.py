@@ -154,9 +154,9 @@ def random_order(
     return order
 
 
-#: The named static orders: ``AnalysisOptions.order`` (query-file key
-#: ``order``, ``--order`` on ``bfl batch``/``bfl serve``) takes one of
-#: these keys, and the ordering ablation benchmark compares them.
+#: The named static orders: ``ModelChecker(order=...)`` and
+#: ``tree_to_bdd(order=...)`` take one of these keys, and the ordering
+#: ablation benchmark compares them.
 HEURISTICS: Dict[str, Callable[[TreeLike, Sequence[str]], List[str]]] = {
     "declaration": declaration_order,
     "dfs": dfs_order,
@@ -164,11 +164,12 @@ HEURISTICS: Dict[str, Callable[[TreeLike, Sequence[str]], List[str]]] = {
     "weight": weight_order,
 }
 
-#: The order every fresh kernel is built in unless the caller names
-#: another.  In the ordering ablation (EXPERIMENTS.md) ``dfs`` stayed
-#: within run-to-run noise of declaration order on COVID-shaped trees
-#: and shrank a redundant-bank kernel 76x, while ``bfs`` and ``weight``
-#: were up to 8x slower on the COVID-shaped trees.
+#: The order every fresh kernel is built in unless an API caller names
+#: another; ``bfl batch`` and ``bfl serve`` always use it.  In the
+#: ordering ablation (EXPERIMENTS.md) ``dfs`` shrank a redundant-bank
+#: kernel 76x and is the only heuristic that is never far behind
+#: declaration order on the COVID-shaped trees, where ``bfs`` and
+#: ``weight`` were up to 8x slower.
 DEFAULT_ORDER = "dfs"
 
 

@@ -35,8 +35,8 @@ from ..logic.scope import MinimalityScope
 from .counterexample import Counterexample, algorithm4, closest_counterexample
 from .evaluate import check as algorithm2_check
 from .independence import influencing_basic_events
-from .results import IndependenceResult, SatisfactionSet, cube_sets
-from .satisfy import satisfying_cubes, satisfying_vectors
+from .results import IndependenceResult, SatisfactionSet
+from .satisfy import iter_satisfying_vectors, satisfying_cubes
 from .translate import FormulaTranslator
 
 #: Formulae may be passed as AST nodes or as DSL text.
@@ -183,33 +183,20 @@ class ModelChecker:
             formula=parsed,
             basic_events=tuple(self.tree.basic_events),
             cubes=tuple(satisfying_cubes(self.translator, parsed)),
-            vectors=tuple(satisfying_vectors(self.translator, parsed)),
+            expand=lambda: iter_satisfying_vectors(self.translator, parsed),
         )
-
-    def failed_sets(self, formula: FormulaLike) -> List[FrozenSet[str]]:
-        """``satisfaction_set(formula).failed_sets()``, read off the BDD's
-        cubes alone: the total vectors, exponential in the don't-cares,
-        are never expanded."""
-        cubes = satisfying_cubes(self.translator, self._formula(formula))
-        return cube_sets(cubes, True)
-
-    def operational_sets(self, formula: FormulaLike) -> List[FrozenSet[str]]:
-        """``satisfaction_set(formula).operational_sets()`` from the
-        cubes alone (see :meth:`failed_sets`)."""
-        cubes = satisfying_cubes(self.translator, self._formula(formula))
-        return cube_sets(cubes, False)
 
     def minimal_cut_sets(self, element: Optional[str] = None) -> List[FrozenSet[str]]:
         """MCSs of ``element`` (default: the top level event) via
         ``[[MCS(element)]]``."""
         target = element if element is not None else self.tree.top
-        return self.failed_sets(MCS(Atom(target)))
+        return self.satisfaction_set(MCS(Atom(target))).failed_sets()
 
     def minimal_path_sets(self, element: Optional[str] = None) -> List[FrozenSet[str]]:
         """MPSs of ``element`` (default: the top level event) via
         ``[[MPS(element)]]``."""
         target = element if element is not None else self.tree.top
-        return self.operational_sets(MPS(Atom(target)))
+        return self.satisfaction_set(MPS(Atom(target))).operational_sets()
 
     # ------------------------------------------------------------------
     # Independence (IDP / SUP) and IBE

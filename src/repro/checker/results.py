@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from ..logic.ast_nodes import Formula
 from ..logic.parser import format_formula
-
-
-def cube_sets(
-    cubes: Iterable[Dict[str, bool]], value: bool
-) -> List[FrozenSet[str]]:
-    """The distinct sets of events each cube assigns ``value`` (True:
-    the failed-set view, False: the operational-set view), smallest
-    first, then by name."""
-    sets = {
-        frozenset(name for name, bit in cube.items() if bit == value)
-        for cube in cubes
-    }
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -31,23 +19,36 @@ class SatisfactionSet:
         basic_events: Status-vector scope, in order.
         cubes: One partial assignment per BDD 1-path (don't-cares omitted) —
             the compact view Algorithm 3 collects.
-        vectors: Every total satisfying vector (cubes with don't-cares
-            expanded).
+        expand: Yields every total satisfying vector; called at most once,
+            by the first read of :attr:`vectors`.
     """
 
     formula: Formula
     basic_events: Tuple[str, ...]
     cubes: Tuple[Dict[str, bool], ...]
-    vectors: Tuple[Dict[str, bool], ...]
+    expand: Callable[[], Iterable[Dict[str, bool]]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def vectors(self) -> Tuple[Dict[str, bool], ...]:
+        """Every total satisfying vector (cubes with don't-cares
+        expanded).  Exponential in the don't-cares, so it is built on
+        first read only: the cut-set views, ``len`` and ``bool`` need
+        the cubes alone."""
+        return tuple(self.expand())
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        # BDD 1-paths are disjoint, so each cube stands for exactly
+        # 2**(its don't-cares) vectors.
+        width = len(self.basic_events)
+        return sum(1 << (width - len(cube)) for cube in self.cubes)
 
     def __iter__(self) -> Iterator[Dict[str, bool]]:
         return iter(self.vectors)
 
     def __bool__(self) -> bool:
-        return bool(self.vectors)
+        return bool(self.cubes)
 
     def failed_sets(self) -> List[FrozenSet[str]]:
         """Failed-event sets, one per *cube* (don't-cares excluded).
@@ -56,11 +57,19 @@ class SatisfactionSet:
         one minimal cut set, so this is the list FTA practitioners expect
         (e.g. the paper's "single mcs {IS, H1, H5}").
         """
-        return cube_sets(self.cubes, True)
+        sets = {
+            frozenset(name for name, value in cube.items() if value)
+            for cube in self.cubes
+        }
+        return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
     def operational_sets(self) -> List[FrozenSet[str]]:
         """Operational-event sets, one per cube — the MPS view."""
-        return cube_sets(self.cubes, False)
+        sets = {
+            frozenset(name for name, value in cube.items() if not value)
+            for cube in self.cubes
+        }
+        return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
     def describe(self, view: str = "failed") -> str:
         """Human-readable rendering used by the CLI and the case study.

@@ -147,7 +147,7 @@ class ScenarioAnalyzer:
         formula = self._evidence(
             MCS(Atom(self.target)), failed, operational
         )
-        return self.checker.failed_sets(formula)
+        return self.checker.satisfaction_set(formula).failed_sets()
 
     def path_sets_given(
         self,
@@ -158,7 +158,7 @@ class ScenarioAnalyzer:
         formula = self._evidence(
             MPS(Atom(self.target)), failed, operational
         )
-        return self.checker.operational_sets(formula)
+        return self.checker.satisfaction_set(formula).operational_sets()
 
     # ------------------------------------------------------------------
 

@@ -101,12 +101,6 @@ _ANALYSIS_FLAGS = (
         "help": "arm automatic in-place variable reordering (Rudell "
         "sifting) when live BDD nodes grow past the kernel trigger",
     }),
-    ("order", "--order", ("batch", "serve"), {
-        "metavar": "NAME",
-        "help": "static BDD variable order every kernel is built in: "
-        "dfs (default, the tree's depth-first order), declaration, bfs "
-        "or weight; part of the snapshot-store key",
-    }),
     ("uniform", "--uniform", ("batch", "serve"), {
         "type": float,
         "help": "uniform failure probability for PFL queries",
@@ -181,13 +175,13 @@ def _analysis_options(args: argparse.Namespace, data: dict, base=None):
 
 def _store_kernels(store, analyzer, names: Sequence[str]) -> None:
     """Translate the ``names`` scenarios' trees and put their kernels
-    into ``store`` under their kernel keys (tree plus order)."""
+    into ``store`` under their kernel keys."""
     from .service import kernel_key
 
     analyzer.prewarm_trees(names)
     for name in names:
         store.put(
-            kernel_key(analyzer.trees[name], analyzer.options.order),
+            kernel_key(analyzer.trees[name]),
             analyzer.session(name).kernel_snapshot(),
         )
 
@@ -330,7 +324,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
           "scope": "support",
           "gc": true,                       // automatic BDD garbage collection
           "auto_reorder": false,            // automatic in-place sifting
-          "order": "dfs",                   // or declaration, bfs, weight
           "workers": 4,                     // multi-process shard execution
           "store": "kernels/",              // kernel snapshot store directory
           "deadline_ms": 60000,             // whole-battery wall-clock budget
@@ -361,7 +354,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     the battery out over N worker processes.  ``--store DIR`` (or the
     file's ``store`` key) is the content-addressed kernel-snapshot
     directory that ``bfl serve --store`` uses too, one
-    ``<kernel-key>.snap`` entry per tree and variable order.  Per
+    ``<kernel-key>.snap`` entry per tree (and variable order).  Per
     scenario, a store hit warm-starts the session; a miss is translated
     up front and put into the store before the battery runs.  Either
     way this run's workers warm-start, and the next run (or a server on
@@ -379,8 +372,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     Exit code 0 when every query succeeded, 1 when any individual query
     errored (the report still lists all of them), 2 on a malformed file
-    — including any key not listed above, so a typo such as ``"ordr"``
-    cannot silently run under the defaults.
+    — including any key not listed above, so a typo such as
+    ``"deadline"`` for ``"deadline_ms"`` cannot silently run under the
+    defaults.
     """
     import json
 
@@ -448,7 +442,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     snapshots = {}
     if store is not None:
         for name, tree in scenarios.items():
-            entry = store.get(kernel_key(tree, options.order))
+            entry = store.get(kernel_key(tree))
             if entry is not None:
                 snapshots[name] = entry
 

@@ -32,6 +32,7 @@ from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bdd.manager import BDDManager, OperationCacheStats
+from ..bdd.ordering import DEFAULT_ORDER
 from ..checker.engine import ModelChecker
 from ..errors import (
     QueryDeadlineError,
@@ -80,19 +81,20 @@ def tree_fingerprint(tree: FaultTree) -> str:
     return hashlib.sha256(galileo_dumps(tree).encode("utf-8")).hexdigest()
 
 
-def kernel_key(tree: FaultTree, order: str) -> str:
-    """Content address of a kernel: the tree's structure plus the
-    variable order it was built in (an ``AnalysisOptions.order`` name).
+def kernel_key(tree: FaultTree) -> str:
+    """Content address of a session kernel: the tree's structure plus
+    the variable order sessions are built in
+    (:data:`~repro.bdd.ordering.DEFAULT_ORDER`).
 
-    A sha256 hex digest over :func:`tree_fingerprint` and ``order``.
-    The session pool, the snapshot store's entry names and the
-    ``BatchAnalyzer(snapshots=...)`` check all key on it, so a kernel
-    built under one order is never adopted under another — and entries
-    keyed by the bare tree fingerprint (written before orders were part
-    of the key) are never matched at all.
+    A sha256 hex digest over :func:`tree_fingerprint` and the order
+    name.  The session pool, the snapshot store's entry names and the
+    ``BatchAnalyzer(snapshots=...)`` check all key on it, so entries
+    keyed by the bare tree fingerprint — written when kernels were built
+    in declaration order — are never matched, and a future change of
+    the default order misses every older entry the same way.
     """
     return hashlib.sha256(
-        f"{tree_fingerprint(tree)}:{order}".encode("ascii")
+        f"{tree_fingerprint(tree)}:{DEFAULT_ORDER}".encode("ascii")
     ).hexdigest()
 
 
@@ -352,8 +354,8 @@ class BatchAnalyzer:
             produced by :meth:`kernel_snapshots` or read from a
             :class:`~repro.service.store.SnapshotStore`) to warm-start
             sessions from; each entry's ``tree`` value must be the
-            scenario's :func:`kernel_key` under ``options.order`` (the
-            tree's structure *and* the variable order).
+            scenario's :func:`kernel_key` (the tree's structure *and*
+            the variable order).
         variants: Optional variant-name -> definition mapping, the
             programmatic face of the query-file ``variants:`` key.  Each
             definition is ``{"base": scenario, "edits": [...],
@@ -594,11 +596,11 @@ class BatchAnalyzer:
                 f"scenario {name!r}: snapshot entries need 'kernel' and "
                 "'tree' (fingerprint) keys"
             )
-        if snapshot["tree"] != kernel_key(tree, self.options.order):
+        if snapshot["tree"] != kernel_key(tree):
             raise SnapshotError(
                 f"scenario {name!r}: snapshot was taken from a "
-                "different tree or under another variable order than "
-                f"{self.options.order!r} (fingerprint mismatch)"
+                "different tree or under another variable order "
+                "(fingerprint mismatch)"
             )
         return snapshot["kernel"]
 
@@ -660,13 +662,12 @@ class BatchAnalyzer:
                 f"unknown scenario {name!r} "
                 f"(registered: {', '.join(sorted(self._trees)) or 'none'})"
             )
-        if kernel_key(session.tree, session.options.order) != kernel_key(
-            self._trees[name], self.options.order
+        if tree_fingerprint(session.tree) != tree_fingerprint(
+            self._trees[name]
         ):
             raise SnapshotError(
                 f"scenario {name!r}: adopted session was built from a "
-                "different tree or under another variable order "
-                "(fingerprint mismatch)"
+                "different tree (fingerprint mismatch)"
             )
         self._sessions[name] = session
         return session
@@ -750,7 +751,7 @@ class BatchAnalyzer:
         store."""
         return {
             name: {
-                "tree": kernel_key(self._trees[name], self.options.order),
+                "tree": kernel_key(self._trees[name]),
                 "kernel": self.session(name).kernel_snapshot(),
             }
             for name in self._trees
@@ -780,7 +781,7 @@ class BatchAnalyzer:
                 and session.checker.translator.tree_translator.cached_elements
             ):
                 snapshots[name] = {
-                    "tree": kernel_key(session.tree, self.options.order),
+                    "tree": kernel_key(session.tree),
                     "kernel": session.kernel_snapshot(),
                 }
             elif name in self._snapshots:

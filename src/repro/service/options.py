@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from ..bdd.ordering import DEFAULT_ORDER, HEURISTICS
 from ..errors import QuerySpecError
 from ..ft.tree import FaultTree
 from ..logic.scope import MinimalityScope
@@ -27,7 +26,7 @@ __all__ = ["AnalysisOptions", "check_int", "check_number", "check_probability"]
 _API_ONLY = frozenset({"monotone_fast_path", "gc_trigger", "reorder_trigger"})
 #: The fields each session's kernel is built under.
 _KERNEL_FIELDS = ("scope", "monotone_fast_path", "auto_gc", "auto_reorder",
-                  "gc_trigger", "reorder_trigger", "order")
+                  "gc_trigger", "reorder_trigger")
 
 
 def check_int(name: str, value: Any, minimum: int) -> None:
@@ -78,13 +77,6 @@ class AnalysisOptions:
             scenario's manager.
         gc_trigger: Optional live-node count arming the first collection.
         reorder_trigger: Optional live-node count arming the first sift.
-        order: The static BDD variable order every scenario's kernel is
-            built in, a :data:`~repro.bdd.ordering.HEURISTICS` name:
-            ``"dfs"`` (default: the tree's depth-first order),
-            ``"declaration"``, ``"bfs"`` or ``"weight"``.  It is part of
-            the kernel's identity (:func:`~repro.service.batch.kernel_key`),
-            so a snapshot built under another order is never adopted.
-            Explicit order lists are API-only, via ``ModelChecker(order=)``.
         probabilities: Per-event failure probabilities for PFL queries.
             Scalar entries (``{event: p}``) apply to every scenario that
             has the event; mapping entries (``{scenario: {event: p}}``)
@@ -114,8 +106,7 @@ class AnalysisOptions:
         QuerySpecError: On any invalid value.  Numbers must be ints or
             floats (bools and strings are rejected), probabilities lie
             in [0, 1], durations are > 0 (``retry_backoff_ms`` >= 0),
-            ``order`` names a heuristic, ``workers >= 1`` and
-            ``shard_retries >= 0``.
+            ``workers >= 1`` and ``shard_retries >= 0``.
     """
 
     scope: MinimalityScope = MinimalityScope.SUPPORT
@@ -124,7 +115,6 @@ class AnalysisOptions:
     auto_reorder: bool = False
     gc_trigger: Optional[int] = None
     reorder_trigger: Optional[int] = None
-    order: str = DEFAULT_ORDER
     probabilities: Mapping[str, Any] = field(default_factory=dict)
     uniform: Optional[float] = None
     workers: int = 1
@@ -152,12 +142,6 @@ class AnalysisOptions:
         for name in ("gc_trigger", "reorder_trigger"):
             if getattr(self, name) is not None:
                 check_int(name, getattr(self, name), 1)
-        if not isinstance(self.order, str) or self.order not in HEURISTICS:
-            *others, last = HEURISTICS
-            raise QuerySpecError(
-                f"unknown order {self.order!r} (expected "
-                f"{', '.join(others)} or {last})"
-            )
         probabilities = {} if self.probabilities is None else self.probabilities
         if not isinstance(probabilities, Mapping):
             raise QuerySpecError(

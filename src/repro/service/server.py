@@ -114,10 +114,9 @@ _REASONS = {
 }
 
 #: Request-body keys a battery may carry beyond the query list.  The
-#: rest of the ``bfl batch`` file surface (trees, variants, workers, the
-#: variable order, snapshots) is *server* state, fixed at startup — a
-#: request trying to smuggle it in gets a 400 instead of silently
-#: diverging.
+#: rest of the ``bfl batch`` file surface (trees, variants, workers,
+#: snapshots) is *server* state, fixed at startup — a request trying to
+#: smuggle it in gets a 400 instead of silently diverging.
 _BATTERY_OPTION_KEYS = frozenset(
     {"probabilities", "uniform", "deadline_ms", "query_timeout_ms"}
 )
@@ -282,10 +281,9 @@ class AnalysisServer:
             raise QuerySpecError("AnalysisServer needs at least one tree")
         self._trees: Dict[str, FaultTree] = dict(trees)
         # The content address of each scenario's kernel in the pool and
-        # the store: its tree plus the server's one variable order.
+        # the store: its tree plus the sessions' variable order.
         self._kernel_keys: Dict[str, str] = {
-            name: kernel_key(tree, self.config.analysis.order)
-            for name, tree in self._trees.items()
+            name: kernel_key(tree) for name, tree in self._trees.items()
         }
         if store is None and self.config.store_path:
             store = SnapshotStore(self.config.store_path)
@@ -657,7 +655,6 @@ class AnalysisServer:
                 {
                     "name": name,
                     "fingerprint": fingerprint,
-                    "order": self.config.analysis.order,
                     "top": tree.top,
                     "basic_events": len(tree.basic_events),
                     "pooled": fingerprint in pooled_prefixes,
@@ -853,8 +850,8 @@ class AnalysisServer:
         """Pool key for one scenario under one set of request weights.
 
         The kernel is weight-independent, so its content address
-        (:func:`~repro.service.batch.kernel_key`: tree plus the server's
-        variable order) is the key; requests carrying PFL overrides get a
+        (:func:`~repro.service.batch.kernel_key`: tree plus variable
+        order) is the key; requests carrying PFL overrides get a
         ``:digest`` suffix because a session's probability answers are
         baked at construction.
         """

@@ -3,13 +3,13 @@
 A :class:`SnapshotStore` is a directory of kernel snapshots keyed by
 kernel key (:func:`repro.service.batch.kernel_key`, a sha256 over the
 tree's Galileo fingerprint and the variable order the kernel was built
-in): one file per distinct tree and order, named ``<key>.snap``.
-Content addressing makes the store self-validating — an entry can only
-ever warm-start a scenario whose tree and order hash to the same key, so
-renamed scenarios, edited trees, servers running other orders and
-multi-tenant servers all share one cache directory safely.  Entries
-named by the bare tree fingerprint (written before the order was part
-of the key) match no key and are simply never read.  Both
+in): one file per distinct tree, named ``<key>.snap``.  Content
+addressing makes the store self-validating — an entry can only ever
+warm-start a scenario whose tree and order hash to the same key, so
+renamed scenarios, edited trees and multi-tenant servers all share one
+cache directory safely.  Entries named by the bare tree fingerprint
+(declaration-order kernels, written before the order was part of the
+key) match no key and are simply never read.  Both
 ``bfl serve --store`` and ``bfl batch --store`` read and write it.
 
 Each entry is the kernel snapshot from

@@ -275,7 +275,6 @@ INVALID = [
     ("watchdog_ms", 0.0, ["--watchdog", "0"], None, False),
     ("auto_gc", "yes", None, None, False),
     ("scope", "bogus", None, None, False),
-    ("order", "bogus", ["--order", "bogus"], ["--order", "bogus"], False),
 ]
 
 

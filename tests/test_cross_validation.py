@@ -62,6 +62,27 @@ def test_satisfying_vectors_agree(data, tree, scope):
 
 @given(data=st.data(), tree=small_trees(max_basic_events=4))
 @settings(**_SETTINGS)
+@pytest.mark.parametrize("scope", list(MinimalityScope))
+def test_satisfaction_set_counts_agree(data, tree, scope):
+    """``len`` and ``bool`` read the cubes alone; the lazily expanded
+    vectors are the reference semantics' set."""
+    satset = ModelChecker(tree, scope=scope).satisfaction_set(
+        data.draw(formulas_for(tree))
+    )
+    ref_vectors = {
+        tuple(sorted(v.items()))
+        for v in ReferenceSemantics(tree, scope=scope).satisfying_vectors(
+            satset.formula
+        )
+    }
+    assert len(satset) == len(ref_vectors)
+    assert bool(satset) == bool(ref_vectors)
+    assert {tuple(sorted(v.items())) for v in satset.vectors} == ref_vectors
+    assert len(satset.vectors) == len(satset)
+
+
+@given(data=st.data(), tree=small_trees(max_basic_events=4))
+@settings(**_SETTINGS)
 def test_layer2_quantifiers_agree(data, tree):
     checker = ModelChecker(tree)
     semantics = ReferenceSemantics(tree)

@@ -529,7 +529,7 @@ class TestServiceSnapshots:
             path = store.put(entry["tree"], entry["kernel"])
             assert path.name == f"{entry['tree']}.snap"
         loaded = {
-            name: store.get(kernel_key(tree, "dfs"))
+            name: store.get(kernel_key(tree))
             for name, tree in trees.items()
         }
         assert all(entry is not None for entry in loaded.values())
@@ -616,7 +616,7 @@ class TestBatchCLI:
         assert cli_main(["batch", queries, "--store", str(store_dir)]) == 0
         first = json.loads(capsys.readouterr().out)
         store = SnapshotStore(store_dir)
-        assert store.fingerprints() == [kernel_key(build_covid_tree(), "dfs")]
+        assert store.fingerprints() == [kernel_key(build_covid_tree())]
         hits = []
         get = SnapshotStore.get
 
@@ -650,7 +650,7 @@ class TestBatchCLI:
         store_dir = tmp_path / "kernels"
         assert cli_main(["batch", queries, "--store", str(store_dir)]) == 0
         capsys.readouterr()
-        fingerprint = kernel_key(build_covid_tree(), "dfs")
+        fingerprint = kernel_key(build_covid_tree())
         corrupt_store_entry(SnapshotStore(store_dir), fingerprint, seed=7)
         with pytest.raises(SnapshotIntegrityError):
             BDDManager.load_snapshot(

@@ -683,7 +683,7 @@ class TestCLIEndToEnd:
         assert "Traceback" not in out
         assert "drained, exiting" in out
         assert [entry.name for entry in store_dir.iterdir()] == [
-            f"{kernel_key(covid, 'dfs')}.snap"
+            f"{kernel_key(covid)}.snap"
         ]
 
 
