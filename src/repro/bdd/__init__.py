@@ -10,7 +10,8 @@ Public surface:
 * :mod:`allsat <repro.bdd.allsat>` — cube and total-model enumeration
   (Algorithm 3);
 * :mod:`minimal <repro.bdd.minimal>` — minimal/maximal satisfying vectors
-  (the MCS/MPS machinery of Algorithm 1);
+  (the MCS/MPS machinery of Algorithm 1: the minimal-solutions recursion,
+  and the paper's primed-relation construction as its reference);
 * :mod:`ordering <repro.bdd.ordering>` / :mod:`reorder <repro.bdd.reorder>` —
   static variable-ordering heuristics (sifting seeds), manager-to-manager
   transfer, and Rudell sifting on the in-place swap kernel (the
@@ -27,13 +28,10 @@ from .manager import (
     SNAPSHOT_VERSION,
 )
 from .minimal import (
-    is_monotone,
     maximal_assignments,
-    maximal_assignments_monotone,
-    maximal_assignments_monotone_restrict,
+    maximal_solutions,
     minimal_assignments,
-    minimal_assignments_monotone,
-    minimal_assignments_monotone_restrict,
+    minimal_solutions,
     prime_name,
 )
 from .ordering import (
@@ -63,13 +61,10 @@ __all__ = [
     "iter_cubes",
     "iter_models",
     "to_dot",
-    "is_monotone",
     "maximal_assignments",
-    "maximal_assignments_monotone",
-    "maximal_assignments_monotone_restrict",
+    "maximal_solutions",
     "minimal_assignments",
-    "minimal_assignments_monotone",
-    "minimal_assignments_monotone_restrict",
+    "minimal_solutions",
     "prime_name",
     "DEFAULT_ORDER",
     "HEURISTICS",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
-from .manager import BDDManager
+from .manager import _GOV_STRIDE, BDDManager
 from .ref import Ref
 
 #: A cube maps variable names to booleans; absent variables are don't-cares.
@@ -38,6 +38,11 @@ def iter_cubes(manager: BDDManager, u: Ref) -> Iterator[Cube]:
     implementation copied the dict on every edge push — O(depth) fresh
     allocations per node on the MCS-enumeration hot path; only the
     yielded cubes are materialised now.
+
+    A minimal-path-set BDD can have ~10^8 paths, and the walk allocates
+    no nodes, so no ``_mk`` safe point ever sees it: under an installed
+    governor it ticks itself every ``_GOV_STRIDE`` node visits, so a
+    deadline or step budget ends the enumeration.
     """
     if u is manager.false:
         return
@@ -46,6 +51,8 @@ def iter_cubes(manager: BDDManager, u: Ref) -> Iterator[Cube]:
         return
     partial: Cube = {}
     stack: List[tuple] = [(_VISIT, u)]
+    governed = manager.governor is not None
+    gov_ticks = 0
     while stack:
         op, arg = stack.pop()
         if op == _SET:
@@ -54,6 +61,10 @@ def iter_cubes(manager: BDDManager, u: Ref) -> Iterator[Cube]:
         elif op == _UNSET:
             del partial[arg]
         else:
+            if governed:
+                gov_ticks += 1
+                if gov_ticks & (_GOV_STRIDE - 1) == 1:
+                    manager._governed_point(weight=_GOV_STRIDE)
             node = arg
             if node.is_terminal:
                 if node.value:

@@ -8,27 +8,25 @@ This module implements the heart of the paper's ``MCS``/``MPS`` operators
 where ``V' < V  ==  (AND_k v'_k => v_k) and (OR_k v'_k != v_k)`` compares
 status vectors by strict inclusion of their *failed* sets.
 
-Two constructions are provided:
+Two constructions of the same function are provided:
 
-* the paper's **primed-relation** construction (general: works for any
-  formula BDD), :func:`minimal_assignments` / :func:`maximal_assignments`;
-* a **single-pass minsol** construction intended for monotone functions
-  (fault-tree structure functions are monotone), in the spirit of
-  Rauzy's direct minimal-solution algorithms — one memoised recursion
-  over the BDD, no primed copies: :func:`minimal_assignments_monotone` /
-  :func:`maximal_assignments_monotone`.  The historical
-  restrict+conjoin formulation is retained as the equivalence oracle
-  (:func:`minimal_assignments_monotone_restrict` /
-  :func:`maximal_assignments_monotone_restrict`); both build canonically
-  identical BDDs for *any* input, monotone or not.
+* the **minimal-solutions recursion** used in production,
+  :func:`minimal_solutions` / :func:`maximal_solutions` — one memoised
+  sweep over the BDD that generalises Rauzy's ``minsol`` to any operand
+  through a scope closure (``min(f) = x ? (min(f1) and not up(f0)) :
+  min(f0)``), with no primed copies of the variables;
+* the paper's **primed-relation** construction,
+  :func:`minimal_assignments` / :func:`maximal_assignments`, kept as the
+  reference the tests and ``bench_mcs_algorithms`` compare against.  It
+  declares a primed twin of every scope variable on first use.
 
-Benchmark ``bench_mcs_algorithms`` compares the two; the test suite proves
-them equivalent on monotone inputs.
+Both build canonically the identical BDD for every input, monotone or
+not; the test suite pins the identity.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from ..errors import VariableError
 from .manager import _FALSE, _TRUE, BDDManager
@@ -149,165 +147,154 @@ def _relational_extreme(
 def minimal_assignments(manager: BDDManager, u: Ref, scope: Sequence[str]) -> Ref:
     """Paper construction: satisfying vectors with no strictly smaller
     satisfying vector (comparison over ``scope``; other variables are
-    untouched don't-cares)."""
+    untouched don't-cares).  The reference for :func:`minimal_solutions`;
+    it declares primed twins of the scope variables on first use."""
     return _relational_extreme(manager, u, scope, superset=False)
 
 
 def maximal_assignments(manager: BDDManager, u: Ref, scope: Sequence[str]) -> Ref:
     """Satisfying vectors with no strictly larger satisfying vector; this is
-    the MPS-side construction (see DESIGN.md deviation 1)."""
+    the MPS-side construction (see DESIGN.md deviation 1) and the
+    reference for :func:`maximal_solutions`."""
     return _relational_extreme(manager, u, scope, superset=True)
 
 
-def _extreme_monotone_e(
+def _closure_e(
     manager: BDDManager,
     edge: int,
-    scope_levels: Sequence[int],
-    k: int,
-    maximal: bool,
-    memo: Dict[Tuple[int, int], int],
+    scope: FrozenSet[int],
+    down: bool,
+    memo: Dict[int, int],
 ) -> int:
-    """Single-pass Rauzy-style ``minsol`` recursion on raw kernel edges.
+    """Up-closure (``down=False``) or down-closure of ``edge`` over the
+    scope levels, on raw kernel edges.
 
-    Computes the same BDD as the restrict+conjoin constructions below, in
-    one memoised sweep.  With ``u = x ? u1 : u0`` and ``x`` in scope::
+    ``up(g)`` holds at ``v`` iff some ``w`` with ``w <= v`` on the scope
+    (and equal elsewhere) satisfies ``g``::
 
-        minsol(u) = x ? (minsol(u1) and not u0) : minsol(u0)
-        maxsol(u) = x ? maxsol(u1) : (maxsol(u0) and not u1)
+        up(g)   = y ? (up(g0) or up(g1)) : up(g0)      (y in scope)
+        down(g) = y ? down(g1) : (down(g0) or down(g1))
+        up(g)   = y ? up(g1) : up(g0)                  (y outside scope)
+
+    A level ``g`` skips stays skipped (the closure of a function that
+    ignores ``y`` ignores ``y``), so the result depends on the edge alone
+    and is memoised per edge.  For a function monotone in the scope the
+    up-closure is the function itself.
+    """
+    if edge <= _FALSE:
+        return edge
+    cached = memo.get(edge)
+    if cached is not None:
+        return cached
+    index = edge >> 1
+    c = edge & 1
+    top = manager._level[index]
+    c0 = _closure_e(manager, manager._low[index] ^ c, scope, down, memo)
+    c1 = _closure_e(manager, manager._high[index] ^ c, scope, down, memo)
+    if top in scope:
+        if down:
+            c0 = manager._or_e(c0, c1)
+        else:
+            c1 = manager._or_e(c0, c1)
+    result = manager._mk(top, c0, c1)
+    memo[edge] = result
+    return result
+
+
+def _extreme(
+    manager: BDDManager, u: Ref, scope: Sequence[str], maximal: bool
+) -> Ref:
+    """The minimal-solutions recursion, exact for any function.  With
+    ``u = x ? u1 : u0`` and ``x`` in scope::
+
+        min(u) = x ? (min(u1) and not up(u0)) : min(u0)
+        max(u) = x ? max(u1) : (max(u0) and not down(u1))
+
+    where ``up``/``down`` are the scope closures of :func:`_closure_e`: a
+    vector with ``x`` failed is minimal iff it is minimal in ``u1`` and
+    no vector below it (``x`` cleared, the rest a subset) satisfies
+    ``u0``.  For a monotone ``u0``, ``up(u0) = u0`` and this is Rauzy's
+    ``minsol``.
 
     Scope variables the BDD skips over (it does not branch on them) are
     forced to their extreme value — 0 for minimality, 1 for maximality —
     by a chain of fresh nodes above the recursive core; scope variables
-    outside the sub-call's window (``scope_levels[k:]``) belong to an
-    ancestor.  Memoised on ``(edge, k)``, so shared subgraphs are visited
-    once instead of once per enclosing restrict as in the old
-    construction.
+    outside the sub-call's window (``levels[k:]``) belong to an
+    ancestor.  Memoised on ``(edge, k)``.
     """
-    key = (edge, k)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if edge == _FALSE:
-        memo[key] = _FALSE
-        return _FALSE
-    top = manager._level[edge >> 1]
-    nlev = len(scope_levels)
-    j = k
-    while j < nlev and scope_levels[j] < top:
-        j += 1
-    if edge == _TRUE:
-        core = _TRUE
-    else:
-        index = edge >> 1
-        c = edge & 1
-        u0 = manager._low[index] ^ c
-        u1 = manager._high[index] ^ c
-        if j < nlev and scope_levels[j] == top:
-            m0 = _extreme_monotone_e(
-                manager, u0, scope_levels, j + 1, maximal, memo
-            )
-            m1 = _extreme_monotone_e(
-                manager, u1, scope_levels, j + 1, maximal, memo
-            )
-            if maximal:
-                core = manager._mk(top, manager._and_e(m0, u1 ^ 1), m1)
-            else:
-                core = manager._mk(top, m0, manager._and_e(m1, u0 ^ 1))
-        else:
-            core = manager._mk(
-                top,
-                _extreme_monotone_e(manager, u0, scope_levels, j, maximal, memo),
-                _extreme_monotone_e(manager, u1, scope_levels, j, maximal, memo),
-            )
-    # Skipped scope variables: an extreme vector cannot waste a bit the
-    # function ignores, so pin them (0 for minimal, 1 for maximal).
-    for lvl in reversed(scope_levels[k:j]):
-        if maximal:
-            core = manager._mk(lvl, _FALSE, core)  # x and core
-        else:
-            core = manager._mk(lvl, core, _FALSE)  # (not x) and core
-    memo[key] = core
-    return core
-
-
-def _extreme_monotone(
-    manager: BDDManager, u: Ref, scope: Sequence[str], maximal: bool
-) -> Ref:
-    # Dedup: a repeated scope name contributes the same conjunct twice in
-    # the restrict formulation (idempotent), so one visit per level keeps
-    # the constructions identical — and the pin loop must never see the
-    # same level twice.
+    if not scope:
+        return u
+    # Dedup: a repeated scope name states the same comparison twice, and
+    # the pin loop must never see the same level twice.
     levels = sorted({manager.level_of(name) for name in scope})
+    in_scope = frozenset(levels)
+    nlev = len(levels)
     memo: Dict[Tuple[int, int], int] = {}
-    return manager._wrap(
-        _extreme_monotone_e(
-            manager, manager._unwrap(u), levels, 0, maximal, memo
-        )
-    )
+    closures: Dict[int, int] = {}
+
+    def extreme(edge: int, k: int) -> int:
+        key = (edge, k)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if edge == _FALSE:
+            memo[key] = _FALSE
+            return _FALSE
+        top = manager._level[edge >> 1]
+        j = k
+        while j < nlev and levels[j] < top:
+            j += 1
+        if edge == _TRUE:
+            core = _TRUE
+        else:
+            index = edge >> 1
+            c = edge & 1
+            u0 = manager._low[index] ^ c
+            u1 = manager._high[index] ^ c
+            if j < nlev and levels[j] == top:
+                m0 = extreme(u0, j + 1)
+                m1 = extreme(u1, j + 1)
+                if maximal:
+                    below = _closure_e(manager, u1, in_scope, True, closures)
+                    core = manager._mk(top, manager._and_e(m0, below ^ 1), m1)
+                else:
+                    above = _closure_e(manager, u0, in_scope, False, closures)
+                    core = manager._mk(top, m0, manager._and_e(m1, above ^ 1))
+            else:
+                core = manager._mk(top, extreme(u0, j), extreme(u1, j))
+        # Skipped scope variables: an extreme vector cannot waste a bit
+        # the function ignores, so pin them (0 for minimal, 1 for
+        # maximal).
+        for lvl in reversed(levels[k:j]):
+            if maximal:
+                core = manager._mk(lvl, _FALSE, core)  # x and core
+            else:
+                core = manager._mk(lvl, core, _FALSE)  # (not x) and core
+        memo[key] = core
+        return core
+
+    return manager._wrap(extreme(manager._unwrap(u), 0))
 
 
-def minimal_assignments_monotone(
+def minimal_solutions(
     manager: BDDManager, u: Ref, scope: Sequence[str]
 ) -> Ref:
-    """Monotone fast path: ``u and AND_x (not x or not u[x:=0])``.
+    """Satisfying vectors of ``u`` with no strictly smaller satisfying
+    vector over ``scope`` (other variables are untouched don't-cares).
 
-    For a monotone ``u`` a vector is globally minimal iff no *single* failed
-    bit can be cleared, which is what each conjunct states.  Computed by
-    the single-pass :func:`_extreme_monotone_e` recursion, which builds
-    canonically the same BDD as the |scope| restrict+conjoin round-trips
-    of :func:`minimal_assignments_monotone_restrict` (the test suite pins
-    the identity) without materialising any of the intermediate
-    conjunctions.
+    The production MCS construction: one memoised sweep, exact for any
+    ``u`` (monotone or not), canonically the same BDD as the paper's
+    :func:`minimal_assignments` without declaring or touching any primed
+    variable.
     """
-    return _extreme_monotone(manager, u, scope, maximal=False)
+    return _extreme(manager, u, scope, maximal=False)
 
 
-def maximal_assignments_monotone(
+def maximal_solutions(
     manager: BDDManager, u: Ref, scope: Sequence[str]
 ) -> Ref:
-    """Monotone fast path for maximality: ``u and AND_x (x or not u[x:=1])``
-    via the single-pass dual of :func:`minimal_assignments_monotone`."""
-    return _extreme_monotone(manager, u, scope, maximal=True)
-
-
-def minimal_assignments_monotone_restrict(
-    manager: BDDManager, u: Ref, scope: Sequence[str]
-) -> Ref:
-    """The historical restrict+conjoin construction (one ``u[x:=0]``
-    round-trip per scope variable), kept as the equivalence oracle for
-    :func:`minimal_assignments_monotone`."""
-    result = u
-    for name in scope:
-        off = manager.restrict(u, name, False)
-        result = manager.and_(
-            result, manager.or_(manager.nvar(name), manager.negate(off))
-        )
-    return result
-
-
-def maximal_assignments_monotone_restrict(
-    manager: BDDManager, u: Ref, scope: Sequence[str]
-) -> Ref:
-    """Restrict+conjoin oracle for :func:`maximal_assignments_monotone`."""
-    result = u
-    for name in scope:
-        on = manager.restrict(u, name, True)
-        result = manager.and_(
-            result, manager.or_(manager.var(name), manager.negate(on))
-        )
-    return result
-
-
-def is_monotone(manager: BDDManager, u: Ref, scope: Iterable[str] = ()) -> bool:
-    """True iff ``u`` is monotone (non-decreasing) in every scope variable.
-
-    With an empty ``scope`` the BDD's own support is checked, which decides
-    monotonicity of the represented function.
-    """
-    names: List[str] = list(scope) or sorted(manager.support(u))
-    for name in names:
-        off = manager.restrict(u, name, False)
-        on = manager.restrict(u, name, True)
-        if manager.implies(off, on) is not manager.true:
-            return False
-    return True
+    """Satisfying vectors of ``u`` with no strictly larger satisfying
+    vector over ``scope``: the dual of :func:`minimal_solutions` (the MPS
+    construction), canonically the same BDD as
+    :func:`maximal_assignments`."""
+    return _extreme(manager, u, scope, maximal=True)

@@ -47,6 +47,10 @@ StatementLike = Union[Statement, str]
 class ModelChecker:
     """BFL model checker for one fault tree.
 
+    ``MCS``/``MPS`` of any operand are built by one construction, the
+    minimal-solutions recursion of :mod:`repro.bdd.minimal`; the kernel
+    holds one level per basic event.
+
     Args:
         tree: The fault tree ``T``.
         scope: MCS/MPS minimality scope (default SUPPORT; DESIGN.md dev. 2).
@@ -55,8 +59,6 @@ class ModelChecker:
             ``"dfs"``, ``"bfs"``, ``"weight"``), an explicit list of
             basic-event names, or ``None`` for the default tree DFS order
             (:func:`~repro.bdd.ordering.resolve_order`).
-        monotone_fast_path: Use the single-pass minsol MCS/MPS construction
-            for monotone operands (ablation arm; results are identical).
         auto_gc: Arm automatic BDD garbage collection on the session's
             manager (reclaims dead intermediate BDDs at translation safe
             points; see ``BDDManager.collect``).
@@ -75,7 +77,6 @@ class ModelChecker:
         tree: FaultTree,
         scope: MinimalityScope = MinimalityScope.SUPPORT,
         order: Union[None, str, Sequence[str]] = None,
-        monotone_fast_path: bool = False,
         auto_gc: bool = False,
         auto_reorder: bool = False,
         gc_trigger: Optional[int] = None,
@@ -88,7 +89,6 @@ class ModelChecker:
             manager=manager,
             scope=scope,
             order=order,
-            monotone_fast_path=monotone_fast_path,
             auto_gc=auto_gc,
             auto_reorder=auto_reorder,
             gc_trigger=gc_trigger,

@@ -7,6 +7,8 @@ Implements the recursion scheme of the paper verbatim::
     BT(phi and phi')   = BT(phi) AND BT(phi')
     BT(phi[e -> v])    = Restrict(BT(phi), e, v)
     BT(MCS(phi))       = BT(phi) AND NOT exists V'. (V' < V AND BT(phi)[V->V'])
+                         (built by the minimal-solutions recursion, which
+                         yields the identical BDD without primed copies V')
     BT(exists phi)     = exists V. BT(phi)          (non-false test)
     BT(forall phi)     = not exists V. not BT(phi)  (tautology test)
     IDP(phi, phi')     = VarB(BT(phi)) disjoint VarB(BT(phi'))
@@ -24,12 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..bdd.manager import BDDManager
-from ..bdd.minimal import (
-    maximal_assignments,
-    maximal_assignments_monotone,
-    minimal_assignments,
-    minimal_assignments_monotone,
-)
+from ..bdd.minimal import maximal_solutions, minimal_solutions
 from ..bdd.ordering import resolve_order
 from ..bdd.ref import Ref
 from ..errors import LogicError
@@ -70,6 +67,10 @@ class CacheStats:
 class FormulaTranslator:
     """Caching translator ``BT`` from BFL formulae to BDDs over one tree.
 
+    MCS/MPS of any operand are built by the minimal-solutions recursion
+    (:func:`~repro.bdd.minimal.minimal_solutions`), so the kernel declares
+    the tree's basic events only — one level per event, no primed twins.
+
     Args:
         tree: The fault tree ``T``.
         manager: BDD manager to build in; a fresh one over the tree's basic
@@ -80,17 +81,9 @@ class FormulaTranslator:
             of basic events, or ``None`` for the default (``dfs``; see
             :func:`~repro.bdd.ordering.resolve_order`).  Ignored when
             ``manager`` is given.
-        monotone_fast_path: When True, MCS/MPS of *monotone* operands use
-            the single-pass minsol construction instead of the paper's
-            primed-relation construction (both are implemented; the
-            ablation benchmark compares them).
         auto_gc: Arm the manager's automatic garbage collection (fires at
             translation safe points; see ``BDDManager.checkpoint``).
-        auto_reorder: Arm automatic in-place sifting.  The primed-relation
-            MCS/MPS construction no longer depends on the interleaved
-            original/primed layout staying monotone — its primed copy
-            falls back to a Shannon rebuild when sifting has moved the
-            pairs apart (see ``repro.bdd.minimal._substitute_fresh``).
+        auto_reorder: Arm automatic in-place sifting.
         gc_trigger: Optional live-node count arming the first collection.
         reorder_trigger: Optional live-node count arming the first sift.
     """
@@ -101,39 +94,24 @@ class FormulaTranslator:
         manager: Optional[BDDManager] = None,
         scope: MinimalityScope = MinimalityScope.SUPPORT,
         order: Union[None, str, Sequence[str]] = None,
-        monotone_fast_path: bool = False,
         auto_gc: bool = False,
         auto_reorder: bool = False,
         gc_trigger: Optional[int] = None,
         reorder_trigger: Optional[int] = None,
     ) -> None:
-        from ..bdd.minimal import ensure_primed, prime_name
-
         if manager is None:
-            # Interleave each basic event with its primed copy: the
-            # subset relation (AND_k v'_k => v_k) of the MCS construction
-            # is then linear-size, whereas appending all primes at the end
-            # makes it exponential in the number of events.
-            base = resolve_order(tree, order)
-            interleaved: List[str] = []
-            for name in base:
-                interleaved.append(name)
-                interleaved.append(prime_name(name))
-            manager = BDDManager(interleaved)
+            manager = BDDManager(resolve_order(tree, order))
         else:
             # Caller-provided manager: declare whatever basic events it is
-            # missing (a variant fork may add events to a shared kernel),
-            # then fall back to appending the primes in the manager's
-            # level order (correct, possibly slower).
+            # missing (a variant fork may add events to a shared kernel).
+            # Extra levels it already has (e.g. the primed twins of a
+            # kernel saved by an older build) are simply never used.
             declared = set(manager.variables)
             missing = [
                 name for name in tree.basic_events if name not in declared
             ]
             if missing:
                 manager.declare(*missing)
-            ensure_primed(
-                manager, sorted(tree.basic_events, key=manager.level_of)
-            )
         arm_gc = auto_gc or gc_trigger is not None
         arm_reorder = auto_reorder or reorder_trigger is not None
         if arm_gc or arm_reorder:
@@ -149,7 +127,6 @@ class FormulaTranslator:
         self.tree = tree
         self.manager = manager
         self.scope = scope
-        self.monotone_fast_path = monotone_fast_path
         self.tree_translator = TreeTranslator(tree, manager)
         self.stats = CacheStats()
         self._cache: Dict[Formula, Ref] = {}
@@ -206,16 +183,11 @@ class FormulaTranslator:
         if isinstance(formula, MCS):
             inner = self.bdd(formula.operand)
             scope = self._minimality_scope(inner)
-            if self.monotone_fast_path and self._is_monotone(inner, scope):
-                return minimal_assignments_monotone(manager, inner, scope)
-            return minimal_assignments(manager, inner, scope)
+            return minimal_solutions(manager, inner, scope)
         if isinstance(formula, MPS):
             inner = self.bdd(formula.operand)
             scope = self._minimality_scope(inner)
-            negated = manager.negate(inner)
-            if self.monotone_fast_path and self._is_monotone(inner, scope):
-                return maximal_assignments_monotone(manager, negated, scope)
-            return maximal_assignments(manager, negated, scope)
+            return maximal_solutions(manager, manager.negate(inner), scope)
         raise TypeError(f"cannot translate {formula!r}")
 
     # ------------------------------------------------------------------
@@ -238,8 +210,6 @@ class FormulaTranslator:
         Returns:
             The dirty element names.
         """
-        from ..bdd.minimal import ensure_primed
-
         if new_tree is self.tree:
             return frozenset()
         be_changed = set(self.tree.basic_events) != set(
@@ -247,10 +217,6 @@ class FormulaTranslator:
         )
         dirty = self.tree_translator.rebase(new_tree)
         self.tree = new_tree
-        ensure_primed(
-            self.manager,
-            sorted(new_tree.basic_events, key=self.manager.level_of),
-        )
         for formula in [
             f
             for f in self._cache
@@ -288,11 +254,6 @@ class FormulaTranslator:
             return list(self.tree.basic_events)
         support = self.manager.support(inner)
         return [name for name in self.tree.basic_events if name in support]
-
-    def _is_monotone(self, inner: Ref, scope: Sequence[str]) -> bool:
-        from ..bdd.minimal import is_monotone
-
-        return is_monotone(self.manager, inner, scope)
 
     # ------------------------------------------------------------------
 

@@ -23,10 +23,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 from ..bdd.allsat import iter_cubes
 from ..bdd.manager import BDDManager
 from ..bdd.ordering import resolve_order
-from ..bdd.minimal import (
-    maximal_assignments_monotone,
-    minimal_assignments_monotone,
-)
+from ..bdd.minimal import maximal_solutions, minimal_solutions
 from .structure import structure_function
 from .to_bdd import tree_to_bdd
 from .tree import FaultTree, StatusVector
@@ -154,14 +151,15 @@ def minimal_cut_sets(
     """All MCSs of ``element`` via the BDD engine.
 
     Translates the element with ``Psi_FT``, restricts to minimal satisfying
-    vectors (structure functions are monotone, so the restriction-based
-    construction applies) and reads one MCS off every 1-path.
+    vectors with the minimal-solutions recursion (the one MCS/MPS
+    construction of the model checker) and reads one MCS off every
+    1-path.
     """
     if manager is None:
         manager = BDDManager(resolve_order(tree))
     root = tree_to_bdd(tree, manager, element)
     scope = sorted(manager.support(root), key=manager.level_of)
-    minimal = minimal_assignments_monotone(manager, root, scope)
+    minimal = minimal_solutions(manager, root, scope)
     sets = [
         frozenset(name for name, value in cube.items() if value)
         for cube in iter_cubes(manager, minimal)
@@ -184,7 +182,7 @@ def minimal_path_sets(
     root = tree_to_bdd(tree, manager, element)
     scope = sorted(manager.support(root), key=manager.level_of)
     negated = manager.negate(root)
-    maximal = maximal_assignments_monotone(manager, negated, scope)
+    maximal = maximal_solutions(manager, negated, scope)
     sets = [
         frozenset(name for name, value in cube.items() if not value)
         for cube in iter_cubes(manager, maximal)

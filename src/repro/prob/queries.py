@@ -41,12 +41,17 @@ from .measure import (
     bdd_probability,
     bdd_probability_many,
     event_probabilities,
+    probabilities_agree,
 )
 
+#: ``=`` is the one probability contract: equal up to a relative
+#: ``PROBABILITY_RTOL``, and a structural zero equals only zero (an
+#: absolute tolerance would make ``P(T) = 0`` and ``P(T) > 0`` both hold
+#: for a rare top event).
 _COMPARATORS: Dict[str, Callable[[float, float], bool]] = {
     "<": operator.lt,
     "<=": operator.le,
-    "=": lambda a, b: abs(a - b) < 1e-12,
+    "=": probabilities_agree,
     ">=": operator.ge,
     ">": operator.gt,
 }

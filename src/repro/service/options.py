@@ -23,10 +23,10 @@ from ..logic.scope import MinimalityScope
 __all__ = ["AnalysisOptions", "check_int", "check_number", "check_probability"]
 
 #: Fields a query file cannot set (API only).
-_API_ONLY = frozenset({"monotone_fast_path", "gc_trigger", "reorder_trigger"})
+_API_ONLY = frozenset({"gc_trigger", "reorder_trigger"})
 #: The fields each session's kernel is built under.
-_KERNEL_FIELDS = ("scope", "monotone_fast_path", "auto_gc", "auto_reorder",
-                  "gc_trigger", "reorder_trigger")
+_KERNEL_FIELDS = ("scope", "auto_gc", "auto_reorder", "gc_trigger",
+                  "reorder_trigger")
 
 
 def check_int(name: str, value: Any, minimum: int) -> None:
@@ -67,7 +67,6 @@ class AnalysisOptions:
     Attributes:
         scope: MCS/MPS minimality scope (a :class:`MinimalityScope` or
             its value, ``"support"`` or ``"full"``) for every scenario.
-        monotone_fast_path: Passed through to each translator.
         auto_gc: Arm automatic BDD garbage collection on every
             scenario's manager: dead intermediate BDDs are reclaimed at
             query boundaries, holding peak live nodes near the working
@@ -110,7 +109,6 @@ class AnalysisOptions:
     """
 
     scope: MinimalityScope = MinimalityScope.SUPPORT
-    monotone_fast_path: bool = False
     auto_gc: bool = False
     auto_reorder: bool = False
     gc_trigger: Optional[int] = None
@@ -133,7 +131,7 @@ class AnalysisOptions:
                 + " or ".join(s.value for s in MinimalityScope)
                 + ")"
             ) from None
-        for name in ("monotone_fast_path", "auto_gc", "auto_reorder"):
+        for name in ("auto_gc", "auto_reorder"):
             if not isinstance(getattr(self, name), bool):
                 raise QuerySpecError(
                     f"{name!r} must be true or false, got "

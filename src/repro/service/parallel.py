@@ -91,7 +91,7 @@ def estimate_cost(
     events and gates) and the *formula size* (longer formulae mean more
     Algorithm 1 recursion and more BDD products), scaled by the query
     kind's registry weight (MCS/MPS and the satisfaction sets built on
-    them run the primed-relation minimisation machinery; checks and
+    them run the minimal-solutions recursion; checks and
     probability queries mostly walk existing BDDs).  A kind may further
     scale its estimate with a ``cost_factor`` hook — a ``synthesize``
     candidate sweep grows linearly with its set count, so the planner

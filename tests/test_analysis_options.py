@@ -66,7 +66,7 @@ class TestAnalysisOptions:
         assert options.deadline_ms is None
 
     def test_api_only_fields_have_no_file_key(self):
-        data = {"gc_trigger": 5, "monotone_fast_path": True, "auto_gc": True}
+        data = {"gc_trigger": 5, "reorder_trigger": 7, "auto_gc": True}
         assert AnalysisOptions.from_mapping(data) == AnalysisOptions()
 
     def test_base_is_kept_where_nothing_is_given(self):

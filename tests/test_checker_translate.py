@@ -1,4 +1,4 @@
-"""Algorithm 1: formula -> BDD translation, caching, scopes, fast paths."""
+"""Algorithm 1: formula -> BDD translation, caching, scopes, MCS/MPS."""
 
 import pytest
 
@@ -88,23 +88,27 @@ class TestMCSTranslation:
         expected = manager.xor(e1, e2)
         assert node is expected
 
-    def test_monotone_fast_path_is_equivalent(self):
-        plain = FormulaTranslator(figure1_tree())
-        fast = FormulaTranslator(figure1_tree(), monotone_fast_path=True)
-        for text in ["MCS(CP/R)", "MPS(CP/R)", "MCS(CP)", "MPS(CR)"]:
-            formula = parse_formula(text)
-            a = plain.bdd(formula)
-            b = fast.bdd(formula)
-            # Different managers: compare by satisfying cubes.
-            from repro.bdd import iter_cubes
+    def test_mcs_mps_equal_the_paper_construction(self):
+        from repro.bdd import maximal_assignments, minimal_assignments
 
-            cubes_a = {
-                tuple(sorted(c.items())) for c in iter_cubes(plain.manager, a)
-            }
-            cubes_b = {
-                tuple(sorted(c.items())) for c in iter_cubes(fast.manager, b)
-            }
-            assert cubes_a == cubes_b
+        translator = FormulaTranslator(figure1_tree())
+        manager = translator.manager
+        texts = ["MCS(CP/R)", "MPS(CP/R)", "MCS(CP)", "MPS(CR)",
+                 "MCS(CP <=> !CR)", "MPS(CP & !IW)", "MCS(CP/R[IW := 1])"]
+        built = {text: translator.bdd(parse_formula(text)) for text in texts}
+        # One level per basic event: the recursion declares no primes.
+        assert sorted(manager.variables) == sorted(figure1_tree().basic_events)
+        for text, node in built.items():
+            formula = parse_formula(text)
+            inner = translator.bdd(formula.operand)
+            scope = translator._minimality_scope(inner)
+            if isinstance(formula, MCS):
+                expected = minimal_assignments(manager, inner, scope)
+            else:
+                expected = maximal_assignments(
+                    manager, manager.negate(inner), scope
+                )
+            assert node is expected, text
 
     def test_scope_support_leaves_irrelevant_events_free(self):
         translator = FormulaTranslator(

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bdd import maximal_assignments, minimal_assignments
 from repro.logic import (
+    MCS,
+    MPS,
     Exists,
     Forall,
     IDP,
@@ -102,13 +105,32 @@ def test_idp_agrees(data, tree):
     assert checker.check(IDP(left, right)) == semantics.holds(IDP(left, right))
 
 
-@given(data=st.data(), tree=small_trees(max_basic_events=4))
+@given(data=st.data(), tree=small_trees(max_basic_events=5))
 @settings(**_SETTINGS)
-def test_monotone_fast_path_agrees_with_reference(data, tree):
-    translator = FormulaTranslator(tree, monotone_fast_path=True)
-    semantics = ReferenceSemantics(tree)
-    formula = data.draw(formulas_for(tree))
+@pytest.mark.parametrize("churn", ["none", "collect", "sift"])
+@pytest.mark.parametrize("scope", list(MinimalityScope))
+def test_recursion_equals_paper_construction(data, tree, scope, churn):
+    """MCS/MPS of any operand (negation, equivalence, xor, evidence,
+    nested MCS/MPS) are canonically the edge the paper's primed-relation
+    construction builds in the same kernel, also after a collection or
+    an in-place sift has renumbered or reordered it, and they agree with
+    the reference semantics."""
+    translator = FormulaTranslator(tree, scope=scope)
+    manager = translator.manager
+    operand = data.draw(formulas_for(tree))
+    inner = translator.bdd(operand)
+    if churn == "collect":
+        manager.collect()
+    elif churn == "sift":
+        manager.sift_inplace()
+    mcs = translator.bdd(MCS(operand))
+    mps = translator.bdd(MPS(operand))
+    names = translator._minimality_scope(inner)
+    assert mcs is minimal_assignments(manager, inner, names)
+    assert mps is maximal_assignments(manager, manager.negate(inner), names)
+    semantics = ReferenceSemantics(tree, scope=scope)
     vector = data.draw(vectors_for(tree))
-    assert check(translator, formula, vector) == semantics.holds(
-        formula, vector
-    )
+    for formula in (MCS(operand), MPS(operand)):
+        assert check(translator, formula, vector) == semantics.holds(
+            formula, vector
+        )

@@ -429,6 +429,22 @@ class TestProbabilityCheckerPFL:
         assert checker.check("P(MoT) > 0") is True
         assert checker.check("P(MoT) >= 0.99") is False
 
+    def test_equality_of_a_rare_top_event(self):
+        builder = FaultTreeBuilder()
+        builder.basic_events("A", "B")
+        builder.and_gate("T", "A", "B")
+        tree = builder.build("T")
+        rare = ProbabilityChecker(tree, overrides={"A": 1e-6, "B": 1.1e-7})
+        value = rare.probability("T")
+        assert 1e-13 < value < 1.2e-13
+        assert rare.check("P(T) > 0") is True
+        assert rare.check("P(T) = 0") is False
+        assert rare.check(f"P(T) = {value!r}") is True
+        # Equal up to the relative tolerance, not an absolute one.
+        assert rare.check(f"P(T) = {value * (1 + 1e-13)!r}") is True
+        assert rare.check(f"P(T) = {value * (1 + 1e-9)!r}") is False
+        assert rare.check("P(T)[A := 0] = 0") is True
+
     def test_zero_probability_evidence(self, checker):
         with pytest.raises(ZeroProbabilityEvidenceError):
             checker.evaluate("P(MoT | IWoS & !IWoS)")

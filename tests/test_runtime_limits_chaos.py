@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bfl_strategies import small_trees
-from repro.bdd import BDDManager
+from repro.bdd import BDDManager, iter_cubes
 from repro.bdd.manager import (
     decode_snapshot,
     encode_snapshot,
@@ -292,6 +293,19 @@ class TestGovernedKernel:
             fresh.probability(tree_to_bdd(tree, fresh), weights)
         )
 
+    def test_cube_enumeration_ticks_the_governor(self):
+        names = [f"x{i}" for i in range(16)]
+        manager = BDDManager(names)
+        # 2**15 paths and not one node allocated while walking them.
+        parity = manager.false
+        for name in names:
+            parity = manager.xor(parity, manager.var(name))
+        manager.governor = Governor(step_budget=1000)
+        with pytest.raises(ResourceLimitError):
+            sum(1 for _ in iter_cubes(manager, parity))
+        manager.governor = None
+        assert sum(1 for _ in iter_cubes(manager, parity)) == 2**15
+
     @settings(
         deadline=None,
         max_examples=25,
@@ -464,6 +478,19 @@ class TestBatchGovernance:
         for result in report.results:
             assert result.error_kind == "deadline"
             assert "deadline" in result.error
+
+    def test_path_set_enumeration_meets_the_query_timeout(self):
+        """Two 5-of-10 banks have about 1.8e8 minimal path sets; their
+        enumeration must end as a ``deadline`` row, not run out of
+        memory."""
+        from test_variable_order import bank_tree
+
+        start = time.perf_counter()
+        report = BatchAnalyzer(bank_tree(), query_timeout_ms=500).run(
+            [{"kind": "mps"}]
+        )
+        assert time.perf_counter() - start < 5
+        assert report.results[0].error_kind == "deadline"
 
     def test_expired_query_timeout_is_per_query(self):
         tree = figure1_tree()

@@ -33,7 +33,6 @@ import repro.bdd.ordering
 import repro.service.batch
 from repro import ModelChecker
 from repro.bdd import HEURISTICS, BDDManager, dfs_order, resolve_order, weight_order
-from repro.bdd.minimal import prime_name
 from repro.casestudy import build_covid_tree
 from repro.checker.counterexample import verify_def7
 from repro.cli import build_parser
@@ -196,38 +195,30 @@ class TestHeuristics:
 # ----------------------------------------------------------------------
 
 
-def interleaved(order):
-    return tuple(
-        name for event in order for name in (event, prime_name(event))
-    )
-
-
 class TestResolvedOrder:
     def test_default_is_dfs_everywhere(self):
         tree = bank_tree()
         dfs = dfs_order(tree, tree.basic_events)
         assert dfs != list(tree.basic_events)
         assert resolve_order(tree) == dfs
-        assert ModelChecker(tree).manager.variables == interleaved(dfs)
+        assert ModelChecker(tree).manager.variables == tuple(dfs)
         manager = tree_to_bdd(tree).manager
         assert manager.variables == tuple(dfs)
         session = BatchAnalyzer(tree).session()
-        assert session.checker.manager.variables == interleaved(dfs)
+        assert session.checker.manager.variables == tuple(dfs)
 
     @pytest.mark.parametrize("name", sorted(HEURISTICS))
     def test_every_heuristic_is_reachable_on_the_api(self, name):
         tree = bank_tree()
         expected = HEURISTICS[name](tree, tree.basic_events)
         checker = ModelChecker(tree, order=name)
-        assert checker.manager.variables == interleaved(expected)
+        assert checker.manager.variables == tuple(expected)
         assert tree_to_bdd(tree, order=name).manager.variables == tuple(expected)
 
     def test_explicit_list(self):
         tree = build_covid_tree()
         order = list(reversed(tree.basic_events))
-        assert ModelChecker(tree, order=order).manager.variables == interleaved(
-            order
-        )
+        assert ModelChecker(tree, order=order).manager.variables == tuple(order)
 
     def test_unknown_name_is_rejected(self):
         with pytest.raises(ValueError, match="unknown variable order"):
@@ -312,7 +303,7 @@ def _stored(store_dir, tree):
         held[name] = entry is not None
         if entry is not None:
             manager, _ = BDDManager.load_snapshot(entry["kernel"])
-            assert manager.variables == interleaved(
+            assert manager.variables == tuple(
                 HEURISTICS[name](tree, tree.basic_events)
             )
     return held
@@ -431,6 +422,61 @@ class TestStoreAcrossOrders:
             status, _, _ = server.post("/battery", {"queries": ["exists IWoS"]})
             assert status == 200
             assert server.server._counters["rewarms"] == 0
+
+
+def _primed_layout_kernel(tree):
+    """A session kernel in the layout of builds whose MCS construction
+    needed primes: every event followed by its ``__prime`` twin, in the
+    default order, filed under the same kernel key."""
+    order = [
+        name
+        for event in resolve_order(tree)
+        for name in (event, event + "__prime")
+    ]
+    checker = ModelChecker(tree, manager=BDDManager(order))
+    elements = checker.translator.tree_translator
+    elements.element(tree.top)
+    return elements.manager.save_snapshot(roots=elements.export_cache())
+
+
+class TestPrimedLayoutEntry:
+    def test_batch_store_warm_starts_from_it(self, tmp_path, capsys, monkeypatch):
+        """A stored kernel with interleaved primed levels still warm-starts
+        through ``bfl batch --store`` and answers every kind exactly as a
+        cold run does; its primes are unused levels."""
+        from test_service_server import ALL_KINDS
+
+        covid = build_covid_tree()
+        store = SnapshotStore(tmp_path / "kernels")
+        store.put(kernel_key(covid), _primed_layout_kernel(covid))
+        queries = ALL_KINDS + [
+            {"id": "mcs-xor", "formula": "MCS(MoT <=> !IS) & H1"},
+            {"id": "mps-ev", "kind": "satisfaction-set",
+             "formula": "MPS(IWoS[IW := 1] & !VW)"},
+        ]
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"uniform": UNIFORM, "queries": queries}))
+        assert cli_main(["batch", str(path)]) in (0, 1)
+        cold = json.loads(capsys.readouterr().out)["results"]
+        gets = []
+        get = SnapshotStore.get
+
+        def counting_get(self, key):
+            entry = get(self, key)
+            gets.append(entry is not None)
+            return entry
+
+        monkeypatch.setattr(SnapshotStore, "get", counting_get)
+        assert cli_main(
+            ["batch", str(path), "--store", str(store.path)]
+        ) in (0, 1)
+        warm = json.loads(capsys.readouterr().out)
+        assert gets == [True]
+        assert "warnings" not in warm["stats"]
+        # The stored kernel (primes and all) is the one that answered.
+        order = warm["stats"]["scenarios"]["default"]["reorder"]["order"]
+        assert len(order) == 2 * len(covid.basic_events)
+        assert normalised(warm["results"]) == normalised(cold)
 
 
 # ----------------------------------------------------------------------
