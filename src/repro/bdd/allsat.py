@@ -12,77 +12,129 @@ variables are *don't-cares*.  We expose both views:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence
 
-from .manager import _GOV_STRIDE, BDDManager
+from .manager import _FALSE, _GOV_STRIDE, _TRUE, BDDManager
 from .ref import Ref
 
 #: A cube maps variable names to booleans; absent variables are don't-cares.
 Cube = Dict[str, bool]
 
 
-#: Path-stack frame opcodes for the mutate-and-undo DFS below.
-_VISIT = 0
-_SET = 1
-_UNSET = 2
-
-
 def iter_cubes(manager: BDDManager, u: Ref) -> Iterator[Cube]:
     """Yield one cube per root-to-``1`` path (depth-first, low edge first).
 
     The generator is lazy, so callers may stop after the first witness.
+    It walks the kernel's int columns: no :class:`Ref` is made for a
+    visited node (this frame holds ``u``, so no collection reclaims the
+    walked nodes).  One partial assignment is set along the path and
+    undone on backtrack; only the yielded cubes are copies.
 
-    One shared partial-assignment dict is mutated along the path and
-    undone on backtrack (the explicit-stack analogue of recursive
-    ``partial[name] = v; recurse(); del partial[name]``).  The previous
-    implementation copied the dict on every edge push — O(depth) fresh
-    allocations per node on the MCS-enumeration hot path; only the
-    yielded cubes are materialised now.
-
-    A minimal-path-set BDD can have ~10^8 paths, and the walk allocates
-    no nodes, so no ``_mk`` safe point ever sees it: under an installed
-    governor it ticks itself every ``_GOV_STRIDE`` node visits, so a
-    deadline or step budget ends the enumeration.
+    Edges into ``0`` are never followed and every other node has a path
+    to ``1``, so the visits between two cubes lie on the path of the
+    second: at most ``len(cube) + 1``.  The walk allocates no nodes, so
+    no ``_mk`` safe point sees it: under an installed governor it charges
+    each cube that bound and ticks once per ``_GOV_STRIDE`` charged
+    visits, so a deadline or step budget ends the enumeration.
     """
-    if u is manager.false:
+    edge = manager._unwrap(u)
+    if edge == _FALSE:
         return
-    if u is manager.true:
-        yield {}
-        return
+    level, low, high = manager._level, manager._low, manager._high
+    order = manager._order
     partial: Cube = {}
-    stack: List[tuple] = [(_VISIT, u)]
+    # A frame is a name to unset, or (edge, name, value): set
+    # name = value (name None at the root), then visit edge.
+    stack: List[object] = [(edge, None, False)]
+    pop, push = stack.pop, stack.append
     governed = manager.governor is not None
-    gov_ticks = 0
+    charged = 0
     while stack:
-        op, arg = stack.pop()
-        if op == _SET:
-            name, value = arg
+        frame = pop()
+        if frame.__class__ is str:
+            del partial[frame]
+            continue
+        edge, name, value = frame
+        if name is not None:
             partial[name] = value
-        elif op == _UNSET:
-            del partial[arg]
-        else:
+        if edge == _TRUE:
             if governed:
-                gov_ticks += 1
-                if gov_ticks & (_GOV_STRIDE - 1) == 1:
-                    manager._governed_point(weight=_GOV_STRIDE)
-            node = arg
-            if node.is_terminal:
-                if node.value:
-                    yield dict(partial)
-                continue
-            name = manager.name_of(node.level)
-            # Frames pop LIFO: set name=False, walk low, set name=True,
-            # walk high, then undo — so low-edge paths come out first.
-            stack.append((_UNSET, name))
-            stack.append((_VISIT, node.high))
-            stack.append((_SET, (name, True)))
-            stack.append((_VISIT, node.low))
-            stack.append((_SET, (name, False)))
+                charged += len(partial) + 1
+                if charged >= _GOV_STRIDE:
+                    manager._governed_point(weight=charged)
+                    charged = 0
+            yield dict(partial)
+            continue
+        index = edge >> 1
+        c = edge & 1
+        name = order[level[index]]
+        # LIFO: low is walked first, then high overwrites the value in
+        # place (keeping the cube's key order), then the unset.
+        push(name)
+        child = high[index] ^ c
+        if child != _FALSE:
+            push((child, name, True))
+        child = low[index] ^ c
+        if child != _FALSE:
+            push((child, name, False))
 
 
 def count_cubes(manager: BDDManager, u: Ref) -> int:
-    """Number of distinct root-to-``1`` paths."""
-    return sum(1 for _ in iter_cubes(manager, u))
+    """Number of distinct root-to-``1`` paths, in O(BDD size).
+
+    Per node, ``total`` counts its paths to either terminal and ``ones``
+    those ending in ``1`` on its regular edge; through a complemented
+    edge the other ``total - ones`` paths end in ``1``.
+    """
+    edge = manager._unwrap(u)
+    low, high = manager._low, manager._high
+    total = {0: 1}
+    ones = {0: 1}
+
+    def ones_of(e: int) -> int:
+        return total[e >> 1] - ones[e >> 1] if e & 1 else ones[e >> 1]
+
+    for index in manager._below(edge):
+        lo, hi = low[index], high[index]
+        total[index] = total[lo >> 1] + total[hi >> 1]
+        ones[index] = ones_of(lo) + ones_of(hi)
+    return ones_of(edge)
+
+
+def greedy_witness(
+    manager: BDDManager, u: Ref, assignment: Mapping[str, bool]
+) -> Cube:
+    """The decisions of Algorithm 4's walk, on raw edges: follow
+    ``assignment`` from the root, but take the sibling of an edge into
+    ``0`` (a reduced node's other edge is never ``0`` too).  One entry
+    per level branched on, root first.
+
+    Raises:
+        KeyError: If the walk reaches a variable not in ``assignment``.
+    """
+    edge = manager._unwrap(u)
+    level, low, high = manager._level, manager._low, manager._high
+    order = manager._order
+    decided: Cube = {}
+    while edge > _FALSE:
+        index, c = edge >> 1, edge & 1
+        name = order[level[index]]
+        bit = bool(assignment[name])
+        if (high[index] if bit else low[index]) ^ c == _FALSE:
+            bit = not bit
+        decided[name] = bit
+        edge = (high[index] if bit else low[index]) ^ c
+    return decided
+
+
+def cube_sets(cubes: Iterable[Cube], value: bool) -> List[FrozenSet[str]]:
+    """The distinct sets of the names each cube sets to ``value`` (failed
+    sets for ``True``, operational sets for ``False``), smallest first."""
+    sets = {
+        frozenset(name for name, v in cube.items() if v == value)
+        for cube in cubes
+    }
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def iter_models(

@@ -82,7 +82,7 @@ import weakref
 from array import array
 from dataclasses import dataclass, fields
 from math import nan
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Container, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import (
     ExecutionError,
@@ -1432,23 +1432,8 @@ class BDDManager:
         cached = cache.get(root)
         if cached is not None:
             return cached
-        # Collect the uncached part of the DAG, then fold it bottom-up.
-        # Children sit at strictly greater levels, so a level-descending
-        # sweep is a valid reverse topological order.
-        pending: List[int] = []
-        seen = {root}
-        stack = [root]
-        while stack:
-            index = stack.pop()
-            if index == 0 or index in cache:
-                continue
-            pending.append(index)
-            for child_edge in (self._low[index], self._high[index]):
-                child = child_edge >> 1
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        for index in sorted(pending, key=lambda i: -self._level[i]):
+        # Fold the uncached part of the DAG bottom-up.
+        for index in self._below(edge, known=cache):
             cache[index] = (
                 frozenset({self._level[index]})
                 | cache.get(self._low[index] >> 1, frozenset())
@@ -1466,12 +1451,34 @@ class BDDManager:
             KeyError: If the walk reaches a variable not in ``assignment``.
         """
         edge = self._unwrap(u)
-        while edge >> 1:
+        level, low, high, order = self._level, self._low, self._high, self._order
+        while edge > _FALSE:
             index = edge >> 1
-            name = self.name_of(self._level[index])
-            child = self._high[index] if assignment[name] else self._low[index]
+            child = high[index] if assignment[order[level[index]]] else low[index]
             edge = child ^ (edge & 1)
         return edge == _TRUE
+
+    def _below(self, *roots: int, known: Container[int] = ()) -> List[int]:
+        """Indices of the internal nodes reachable from the edges
+        ``roots`` without passing through ``known`` ones, deepest level
+        first, so every child comes before its parents (children sit at
+        strictly greater levels).  Under an installed governor it ticks
+        every ``_GOV_STRIDE`` nodes."""
+        low, high = self._low, self._high
+        seen = {0}
+        stack = [root >> 1 for root in roots]
+        governed = self._governor is not None
+        while stack:
+            index = stack.pop()
+            if index not in seen and index not in known:
+                seen.add(index)
+                if governed and not len(seen) % _GOV_STRIDE:
+                    self._governed_point(weight=_GOV_STRIDE)
+                stack.append(low[index] >> 1)
+                stack.append(high[index] >> 1)
+        seen.discard(0)
+        level = self._level
+        return sorted(seen, key=lambda i: -level[i])
 
     def sat_count(self, u: Ref, over: Optional[Sequence[str]] = None) -> int:
         """Number of satisfying assignments over the variables ``over``
@@ -1487,25 +1494,13 @@ class BDDManager:
         position = {level: i for i, level in enumerate(levels)}
         n = len(levels)
 
-        # Phase 1: collect reachable indices (complement bits irrelevant).
-        seen = {root >> 1}
-        stack = [root >> 1]
-        reachable: List[int] = []
-        while stack:
-            index = stack.pop()
-            if index == 0:
-                continue
+        reachable = self._below(root)
+        for index in reachable:
             if self._level[index] not in position:
                 raise VariableError(
                     f"BDD mentions {self.name_of(self._level[index])!r}, "
                     "which is outside the counting scope"
                 )
-            reachable.append(index)
-            for child_edge in (self._low[index], self._high[index]):
-                child = child_edge >> 1
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
 
         # counts[i] = satisfying assignments of the *regular* edge of node
         # i over levels[position(i):].
@@ -1523,9 +1518,7 @@ class BDDManager:
                 value = (1 << (n - from_pos)) - value
             return value
 
-        # Phase 2: children live at strictly greater levels, so a
-        # level-descending sweep resolves them before their parents.
-        for index in sorted(reachable, key=lambda i: -self._level[i]):
+        for index in reachable:
             pos = position[self._level[index]]
             counts[index] = edge_count(self._low[index], pos + 1) + edge_count(
                 self._high[index], pos + 1
@@ -1609,15 +1602,7 @@ class BDDManager:
                 pending: List[int] = []
                 seen = {index}
                 stack = [index]
-                gov_ticks = 0
                 while stack:
-                    if governed:
-                        # Strided safe point: nothing mutated yet this
-                        # sweep, and one check per 64 nodes keeps the
-                        # armed cost to a counter bump.
-                        gov_ticks += 1
-                        if gov_ticks & 63 == 1:
-                            self._governed_point(weight=_GOV_STRIDE)
                     i = stack.pop()
                     if i == 0:
                         continue
@@ -1630,6 +1615,10 @@ class BDDManager:
                             f"{self.name_of(level[i])!r}"
                         )
                     pending.append(i)
+                    if governed and not len(pending) % _GOV_STRIDE:
+                        # Strided safe point: nothing mutated yet this
+                        # sweep.
+                        self._governed_point(weight=_GOV_STRIDE)
                     for child_edge in (low[i], high[i]):
                         child = child_edge >> 1
                         if child not in seen:
@@ -1643,20 +1632,21 @@ class BDDManager:
             # Phase 2: children sit at strictly greater levels, so a
             # level-descending sweep values them before their parents.
             pending.sort(key=lambda i: -level[i])
-            for gov_ticks, i in enumerate(pending):
-                if governed and gov_ticks & 63 == 0:
+            for start in range(0, len(pending), _GOV_STRIDE):
+                if governed:
                     # Strided safe point: an abort drops the popped
                     # cache whole (it is only re-registered after a
                     # full sweep).
                     self._governed_point(weight=_GOV_STRIDE)
-                p = level_weight[level[i]]
-                lo = low[i]
-                lv = 1.0 if lo >> 1 == 0 else cache[lo >> 1]
-                if lo & 1:
-                    lv = 1.0 - lv
-                hi = high[i]  # stored high edges are regular (invariant)
-                hv = 1.0 if hi >> 1 == 0 else cache[hi >> 1]
-                cache[i] = p * hv + (1.0 - p) * lv
+                for i in pending[start : start + _GOV_STRIDE]:
+                    p = level_weight[level[i]]
+                    lo = low[i]
+                    lv = 1.0 if lo >> 1 == 0 else cache[lo >> 1]
+                    if lo & 1:
+                        lv = 1.0 - lv
+                    hi = high[i]  # stored high edges are regular
+                    hv = 1.0 if hi >> 1 == 0 else cache[hi >> 1]
+                    cache[i] = p * hv + (1.0 - p) * lv
             stats.prob_misses += len(pending)
         if fresh:
             while len(caches) >= _PROB_PROFILE_LIMIT:
@@ -1720,29 +1710,11 @@ class BDDManager:
         if nprof == 0:
             return _shape([[] for _ in roots])
         level, low, high = self._level, self._low, self._high
-        governed = self._governor is not None
-        # Phase 1: collect the union of the reachable DAGs and the
-        # levels they branch on.
-        pending: List[int] = []
-        used_levels: Set[int] = set()
-        seen = {0}
-        stack = [root >> 1 for root in roots]
-        gov_ticks = 0
-        while stack:
-            if governed:
-                gov_ticks += 1
-                if gov_ticks & 63 == 1:
-                    self._governed_point(weight=_GOV_STRIDE)
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            pending.append(i)
-            used_levels.add(level[i])
-            for child_edge in (low[i], high[i]):
-                child = child_edge >> 1
-                if child not in seen:
-                    stack.append(child)
+        # Phase 1: the union of the reachable DAGs.  Descending-level
+        # order is children-first, and nodes of one level block never
+        # reference each other: the block recurrence below is
+        # well-defined.
+        pending = self._below(*roots)
         if not pending:
             # Every root is a terminal edge.
             return _shape(
@@ -1750,7 +1722,7 @@ class BDDManager:
             )
         # Per-profile weight rows over the used levels, validated before
         # any arithmetic so a missing weight fails like probability().
-        lv_sorted = sorted(used_levels)
+        lv_sorted = sorted({level[i] for i in pending})
         names = [self.name_of(lv) for lv in lv_sorted]
         weight_rows: List[List[float]] = []
         for j, weights in enumerate(profiles):
@@ -1763,10 +1735,6 @@ class BDDManager:
                     )
                 row.append(float(weights[name]))
             weight_rows.append(row)
-        # Children sit at strictly greater levels: descending-level order
-        # is children-first, and nodes of one level block never reference
-        # each other — the block recurrence below is well-defined.
-        pending.sort(key=lambda i: -level[i])
         lvrow = {lv: r for r, lv in enumerate(lv_sorted)}
         np_mod = _nputil.np
         if np_mod is not None:

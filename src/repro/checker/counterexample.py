@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..bdd.allsat import greedy_witness
 from ..errors import NoCounterexampleError
 from ..logic.ast_nodes import Formula
 from .evaluate import walk
@@ -87,20 +88,7 @@ def algorithm4(
             "vector exists"
         )
 
-    decided: Dict[str, bool] = {}
-    node = root
-    while not node.is_terminal:
-        name = manager.name_of(node.level)
-        bit = bool(vector[name])
-        chosen = node.high if bit else node.low
-        if chosen.is_terminal and not chosen.value:
-            # Revise the decision: take the sibling branch (Algorithm 4's
-            # inner `if Lab(wi) = 0` clause).  Siblings are distinct in a
-            # reduced BDD, so the sibling is not the 0 terminal.
-            bit = not bit
-            chosen = node.high if bit else node.low
-        decided[name] = bit
-        node = chosen
+    decided = greedy_witness(manager, root, vector)
 
     # "set all values b'_i which have not been set to the same values as
     # according b_i"

@@ -28,17 +28,12 @@ def walk(manager: BDDManager, root: Ref, vector: Mapping[str, bool]) -> bool:
     Returns:
         True iff the walk ends in the ``1`` terminal.
     """
-    node = root
-    while not node.is_terminal:
-        name = manager.name_of(node.level)
-        try:
-            bit = vector[name]
-        except KeyError:
-            raise StatusVectorError(
-                f"status vector does not assign {name!r}"
-            ) from None
-        node = node.high if bit else node.low
-    return bool(node.value)
+    try:
+        return manager.evaluate(root, vector)
+    except KeyError as missing:
+        raise StatusVectorError(
+            f"status vector does not assign {missing.args[0]!r}"
+        ) from None
 
 
 def check(

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
+from ..bdd.allsat import cube_sets
 from ..logic.ast_nodes import Formula
 from ..logic.parser import format_formula
 
@@ -57,19 +58,11 @@ class SatisfactionSet:
         one minimal cut set, so this is the list FTA practitioners expect
         (e.g. the paper's "single mcs {IS, H1, H5}").
         """
-        sets = {
-            frozenset(name for name, value in cube.items() if value)
-            for cube in self.cubes
-        }
-        return sorted(sets, key=lambda s: (len(s), sorted(s)))
+        return cube_sets(self.cubes, True)
 
     def operational_sets(self) -> List[FrozenSet[str]]:
         """Operational-event sets, one per cube — the MPS view."""
-        sets = {
-            frozenset(name for name, value in cube.items() if not value)
-            for cube in self.cubes
-        }
-        return sorted(sets, key=lambda s: (len(s), sorted(s)))
+        return cube_sets(self.cubes, False)
 
     def describe(self, view: str = "failed") -> str:
         """Human-readable rendering used by the CLI and the case study.

@@ -1,6 +1,8 @@
 """AllSat tests (Algorithm 3's engine): cubes, models, counting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd import (
     BDDManager,
@@ -36,6 +38,24 @@ class TestCubes:
     def test_count_cubes(self, manager):
         f = manager.xor(manager.var("x"), manager.var("y"))
         assert count_cubes(manager, f) == 2
+
+    @given(table=st.lists(st.booleans(), min_size=16, max_size=16))
+    @settings(max_examples=60, deadline=None)
+    def test_count_cubes_is_the_number_of_cubes(self, table):
+        """The path-count DP against enumeration, on random functions of
+        four variables and their complements (complement edges)."""
+        names = ["a", "b", "c", "d"]
+        manager = BDDManager(names)
+        f = manager.disjoin(
+            manager.conjoin(
+                manager.var(name) if (row >> i) & 1 else manager.nvar(name)
+                for i, name in enumerate(names)
+            )
+            for row, value in enumerate(table)
+            if value
+        )
+        for u in (f, manager.negate(f)):
+            assert count_cubes(manager, u) == len(list(iter_cubes(manager, u)))
 
     def test_cubes_are_lazy(self, manager):
         f = manager.or_(manager.var("x"), manager.var("y"))

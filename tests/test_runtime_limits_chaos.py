@@ -31,7 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bfl_strategies import small_trees
-from repro.bdd import BDDManager, iter_cubes
+from repro.bdd import BDDManager, count_cubes, iter_cubes
 from repro.bdd.manager import (
     decode_snapshot,
     encode_snapshot,
@@ -303,8 +303,14 @@ class TestGovernedKernel:
         manager.governor = Governor(step_budget=1000)
         with pytest.raises(ResourceLimitError):
             sum(1 for _ in iter_cubes(manager, parity))
+        # Counting is a DP over the nodes, not a walk over the paths.
+        assert count_cubes(manager, parity) == 2**15
         manager.governor = None
         assert sum(1 for _ in iter_cubes(manager, parity)) == 2**15
+        for name in [f"y{i}" for i in range(48)]:
+            manager.declare(name)
+            parity = manager.xor(parity, manager.var(name))
+        assert count_cubes(manager, parity) == 2**63
 
     @settings(
         deadline=None,

@@ -10,6 +10,7 @@ import pytest
 from repro.casestudy import build_covid_tree
 from repro.checker import ModelChecker
 from repro.cli import main
+from repro.errors import SnapshotError
 from repro.ft import figure1_tree
 from repro.service import BatchAnalyzer, QuerySpec
 from repro.service.queries import QuerySpecError, specs_from_any
@@ -285,3 +286,30 @@ class TestSpecValidation:
             set(s)
             for s in checker.satisfaction_set("MPS(IWoS)").operational_sets()
         ]
+
+
+class TestAdoptSession:
+    def test_the_registered_tree_object_is_not_hashed(self, monkeypatch):
+        tree = build_covid_tree()
+        session = BatchAnalyzer({"covid": tree}).session("covid")
+        analyzer = BatchAnalyzer({"covid": tree})
+        hashed = []
+        monkeypatch.setattr(
+            "repro.service.batch.tree_fingerprint", hashed.append
+        )
+        assert analyzer.adopt_session("covid", session) is session
+        assert hashed == []
+        monkeypatch.undo()
+        assert analyzer.run([{"id": "m", "kind": "mcs", "tree": "covid"}]).ok
+
+    def test_an_equal_tree_object_adopts(self):
+        session = BatchAnalyzer({"covid": build_covid_tree()}).session("covid")
+        analyzer = BatchAnalyzer({"covid": build_covid_tree()})
+        assert session.tree is not analyzer.trees["covid"]
+        assert analyzer.adopt_session("covid", session) is session
+
+    def test_a_different_tree_is_refused(self):
+        session = BatchAnalyzer({"covid": figure1_tree()}).session("covid")
+        analyzer = BatchAnalyzer({"covid": build_covid_tree()})
+        with pytest.raises(SnapshotError, match="fingerprint mismatch"):
+            analyzer.adopt_session("covid", session)
