@@ -68,6 +68,11 @@ class TreeTranslator:
         if missing:
             manager.declare(*missing)
         self._cache: Dict[str, Ref] = {}
+        #: Bumped on every change to the element memo (insert, adopt,
+        #: rebase pop), so equal generations mean equal
+        #: :meth:`export_cache` roots.  A count would not do: rebase can
+        #: pop entries that later re-translation puts back.
+        self.generation = 0
         # site -> Psi(top) with the site's subtree abstracted into a
         # placeholder variable (see abstract_root); invalidated whenever
         # rebase changes any structure.
@@ -87,6 +92,7 @@ class TreeTranslator:
                 continue
             if self.tree.is_basic(current):
                 self._cache[current] = self.manager.var(current)
+                self.generation += 1
                 continue
             if not expanded:
                 stack.append((current, True))
@@ -95,6 +101,7 @@ class TreeTranslator:
                         stack.append((child, False))
                 continue
             self._cache[current] = self._combine(current)
+            self.generation += 1
         self.manager.checkpoint()
         return self._cache[name]
 
@@ -134,7 +141,8 @@ class TreeTranslator:
             return frozenset()
         dirty = changed_elements(self.tree, new_tree)
         for name in dirty:
-            self._cache.pop(name, None)
+            if self._cache.pop(name, None) is not None:
+                self.generation += 1
         if dirty:
             self._abstract.clear()
         self.tree = new_tree
@@ -296,6 +304,7 @@ class TreeTranslator:
                 )
             self.manager._unwrap(ref)  # ownership check
             self._cache[name] = ref
+            self.generation += 1
 
     def adopt_from(
         self, other: "TreeTranslator", skip: Container[str] = frozenset()
@@ -322,6 +331,7 @@ class TreeTranslator:
         for name, ref in other._cache.items():
             if name not in skip and name in tree:
                 cache[name] = ref
+        self.generation += 1
 
 
 def tree_to_bdd(

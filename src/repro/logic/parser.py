@@ -35,13 +35,18 @@ the closing parenthesis an optional bracket of probability settings
 ``[e := 0.25, ...]`` overrides per-event failure probabilities for this
 query (``0``/``1`` act as deterministic settings), and an optional
 comparator + number turns the value query into a Boolean one.
+
+Nesting is bounded: brackets (parentheses and operator argument lists)
+nest at most :data:`MAX_NESTING` levels and a formula tree is at most
+:data:`MAX_DEPTH` nodes deep; deeper input is a :class:`BFLSyntaxError`
+at the offending token, not a ``RecursionError`` in a later pass.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import BFLSyntaxError
 from .ast_nodes import (
@@ -66,6 +71,17 @@ from .ast_nodes import (
     Synthesize,
     Vot,
 )
+
+#: Deepest bracket nesting accepted: parentheses and the argument lists
+#: of ``MCS``/``MPS``/``VOT``/``SYNTHESIZE``.  Each level costs the
+#: recursive descent about ten Python frames.
+MAX_NESTING = 64
+
+#: Deepest formula tree accepted, counted in nodes from the root to a
+#: leaf.  Translation, formatting and the frozen AST's own hash and
+#: equality recurse once or twice per level, so a formula at this depth
+#: stays clear of Python's default recursion limit (1000).
+MAX_DEPTH = 256
 
 _KEYWORDS = {
     "mcs",
@@ -157,6 +173,10 @@ class _Parser:
         # conditioning bar, not disjunction; parentheses (and every other
         # nesting construct) restore the default reading.
         self._bar_conditional = False
+        # Open brackets around the current token, and id(node) -> depth
+        # for every operator node built so far (leaves have depth 1).
+        self._nesting = 0
+        self._depths: Dict[int, int] = {}
 
     # -- token helpers --------------------------------------------------
 
@@ -186,6 +206,20 @@ class _Parser:
                 token.column,
             )
         return self._advance()
+
+    def _node(self, token: _Token, node: Formula) -> Formula:
+        """Record ``node``'s depth, rejecting it past :data:`MAX_DEPTH`
+        at ``token`` (its operator)."""
+        depths = self._depths
+        depth = 1 + max(depths.get(id(child), 1) for child in node.children())
+        if depth > MAX_DEPTH:
+            raise BFLSyntaxError(
+                f"formula nests deeper than {MAX_DEPTH} levels",
+                token.line,
+                token.column,
+            )
+        depths[id(node)] = depth
+        return node
 
     def _keyword(self) -> Optional[str]:
         """Lower-cased keyword if the current token is a NAME keyword."""
@@ -226,8 +260,8 @@ class _Parser:
             return SUP(name)
         if keyword == "synthesize":
             opening = self._advance()
-            self._expect("LPAREN", "'(' after SYNTHESIZE")
-            formula = self._inner_formula()
+            bracket = self._expect("LPAREN", "'(' after SYNTHESIZE")
+            formula = self._inner_formula(bracket)
             candidates: List[str] = []
             if self._accept("SEMI"):
                 candidates.append(self._element_name())
@@ -245,61 +279,93 @@ class _Parser:
     def _formula(self) -> Formula:
         return self._equivalence()
 
-    def _inner_formula(self) -> Formula:
-        """A formula in a nested context (parentheses, MCS/VOT/IDP
-        arguments), where ``|`` always means disjunction again."""
+    def _inner_formula(self, bracket: _Token) -> Formula:
+        """A formula inside ``bracket`` (parentheses, MCS/MPS/VOT/
+        SYNTHESIZE arguments), where ``|`` always means disjunction
+        again."""
+        if self._nesting >= MAX_NESTING:
+            raise BFLSyntaxError(
+                f"brackets nest deeper than {MAX_NESTING} levels",
+                bracket.line,
+                bracket.column,
+            )
         saved = self._bar_conditional
         self._bar_conditional = False
+        self._nesting += 1
         try:
             return self._formula()
         finally:
             self._bar_conditional = saved
+            self._nesting -= 1
 
     def _equivalence(self) -> Formula:
         left = self._implication()
         while True:
-            if self._accept("EQUIV"):
-                left = Equiv(left, self._implication())
-            elif self._accept("NEQUIV"):
-                left = NotEquiv(left, self._implication())
-            else:
+            token = self._accept("EQUIV") or self._accept("NEQUIV")
+            if token is None:
                 return left
+            node = Equiv if token.kind == "EQUIV" else NotEquiv
+            left = self._node(token, node(left, self._implication()))
 
     def _implication(self) -> Formula:
-        left = self._disjunction()
-        if self._accept("IMPLIES"):
-            # Right associative: a => b => c  ==  a => (b => c).
-            return Implies(left, self._implication())
-        return left
+        # Right associative: a => b => c  ==  a => (b => c).  Operands
+        # are collected first so a long chain costs no recursion.
+        operands = [self._disjunction()]
+        arrows: List[_Token] = []
+        while True:
+            arrow = self._accept("IMPLIES")
+            if arrow is None:
+                break
+            arrows.append(arrow)
+            operands.append(self._disjunction())
+        formula = operands.pop()
+        while arrows:
+            formula = self._node(
+                arrows.pop(), Implies(operands.pop(), formula)
+            )
+        return formula
 
     def _disjunction(self) -> Formula:
         left = self._conjunction()
-        while self._accept("OR") or (
-            not self._bar_conditional and self._accept("BAR")
-        ):
-            left = Or(left, self._conjunction())
-        return left
+        while True:
+            token = self._accept("OR") or (
+                None if self._bar_conditional else self._accept("BAR")
+            )
+            if token is None:
+                return left
+            left = self._node(token, Or(left, self._conjunction()))
 
     def _conjunction(self) -> Formula:
         left = self._unary()
-        while self._accept("AND"):
-            left = And(left, self._unary())
-        return left
+        while True:
+            token = self._accept("AND")
+            if token is None:
+                return left
+            left = self._node(token, And(left, self._unary()))
 
     def _unary(self) -> Formula:
-        if self._accept("NOT"):
-            return Not(self._unary())
-        return self._postfix()
+        negations: List[_Token] = []
+        while True:
+            token = self._accept("NOT")
+            if token is None:
+                break
+            negations.append(token)
+        formula = self._postfix()
+        while negations:
+            formula = self._node(negations.pop(), Not(formula))
+        return formula
 
     def _postfix(self) -> Formula:
         formula = self._primary()
         while self._check("LBRACKET"):
-            self._advance()
+            bracket = self._advance()
             assignments = [self._substitution()]
             while self._accept("COMMA"):
                 assignments.append(self._substitution())
             self._expect("RBRACKET", "']' closing evidence")
-            formula = Evidence(formula, tuple(assignments))
+            formula = self._node(
+                bracket, Evidence(formula, tuple(assignments))
+            )
         return formula
 
     def _substitution(self) -> Tuple[str, bool]:
@@ -323,20 +389,22 @@ class _Parser:
                 token.line,
                 token.column,
             )
-        if self._accept("LPAREN"):
-            inner = self._inner_formula()
+        bracket = self._accept("LPAREN")
+        if bracket is not None:
+            inner = self._inner_formula(bracket)
             self._expect("RPAREN", "')'")
             return inner
         keyword = self._keyword()
         if keyword in ("mcs", "mps"):
-            self._advance()
-            self._expect("LPAREN", f"'(' after {keyword.upper()}")
-            inner = self._inner_formula()
+            operator = self._advance()
+            bracket = self._expect("LPAREN", f"'(' after {keyword.upper()}")
+            inner = self._inner_formula(bracket)
             self._expect("RPAREN", f"')' closing {keyword.upper()}")
-            return MCS(inner) if keyword == "mcs" else MPS(inner)
+            return self._node(
+                operator, MCS(inner) if keyword == "mcs" else MPS(inner)
+            )
         if keyword == "vot":
-            self._advance()
-            return self._vot()
+            return self._vot(self._advance())
         if keyword == "true":
             self._advance()
             return Constant(True)
@@ -373,20 +441,21 @@ class _Parser:
                 return symbol
         return None
 
-    def _vot(self) -> Formula:
-        self._expect("LPAREN", "'(' after VOT")
+    def _vot(self, keyword: _Token) -> Formula:
+        bracket = self._expect("LPAREN", "'(' after VOT")
         operator = self._comparator() or ">="
         token = self._expect("NUMBER", "VOT threshold")
         threshold = int(token.text)
         self._expect("SEMI", "';' between VOT threshold and operands")
-        operands = [self._inner_formula()]
+        operands = [self._inner_formula(bracket)]
         while self._accept("COMMA"):
-            operands.append(self._inner_formula())
+            operands.append(self._inner_formula(bracket))
         self._expect("RPAREN", "')' closing VOT")
         try:
-            return Vot(operator, threshold, tuple(operands))
+            node = Vot(operator, threshold, tuple(operands))
         except ValueError as error:
             raise BFLSyntaxError(str(error), token.line, token.column) from None
+        return self._node(keyword, node)
 
     def _element_name(self) -> str:
         if self._check("QUOTED"):

@@ -28,6 +28,7 @@ import hashlib
 import logging
 import os
 import time
+import weakref
 from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -70,6 +71,13 @@ from .queries import (
 logger = logging.getLogger(__name__)
 
 
+#: FaultTree -> its fingerprint.  Trees are immutable, so the Galileo
+#: text and its digest are computed once per tree object.
+_FINGERPRINTS: "weakref.WeakKeyDictionary[FaultTree, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def tree_fingerprint(tree: FaultTree) -> str:
     """Stable structural identity of a tree (Galileo text digest).
 
@@ -77,8 +85,15 @@ def tree_fingerprint(tree: FaultTree) -> str:
     warm starts: a snapshot records the key of the tree and order it was
     built from, and adopting it into a scenario with a different key
     raises instead of silently answering queries from stale BDDs.
+    Memoised per tree object.
     """
-    return hashlib.sha256(galileo_dumps(tree).encode("utf-8")).hexdigest()
+    fingerprint = _FINGERPRINTS.get(tree)
+    if fingerprint is None:
+        fingerprint = hashlib.sha256(
+            galileo_dumps(tree).encode("utf-8")
+        ).hexdigest()
+        _FINGERPRINTS[tree] = fingerprint
+    return fingerprint
 
 
 def kernel_key(tree: FaultTree) -> str:
@@ -87,7 +102,9 @@ def kernel_key(tree: FaultTree) -> str:
     (:data:`~repro.bdd.ordering.DEFAULT_ORDER`).
 
     A sha256 hex digest over :func:`tree_fingerprint` and the order
-    name.  The session pool, the snapshot store's entry names and the
+    name; only this short outer hash is recomputed per call, so the key
+    follows the current :data:`DEFAULT_ORDER`.  The session pool, the
+    snapshot store's entry names and the
     ``BatchAnalyzer(snapshots=...)`` check all key on it, so entries
     keyed by the bare tree fingerprint — written when kernels were built
     in declaration order — are never matched, and a future change of
@@ -142,6 +159,12 @@ class AnalysisSession:
         )
         if adopted:
             self.checker.translator.tree_translator.adopt(adopted)
+        #: :meth:`kernel_state` when the kernel last matched its store
+        #: entry: right after a snapshot warm start, or when the session
+        #: pool last wrote it (None: never, e.g. a cold build).
+        self.stored_state: Optional[Tuple[int, int, int]] = (
+            self.kernel_state() if snapshot is not None else None
+        )
         self._parse_cache: Dict[str, Statement] = {}
         self.parse_hits = 0
         self.parse_misses = 0
@@ -325,6 +348,18 @@ class AnalysisSession:
         translator = self.checker.translator
         return self.checker.manager.save_snapshot(
             roots=translator.tree_translator.export_cache()
+        )
+
+    def kernel_state(self) -> Tuple[int, int, int]:
+        """What :meth:`kernel_snapshot` depends on, as counters: the
+        element memo's generation (its roots), and the manager's swap
+        count and variable count (its order).  Equal states give equal
+        snapshots."""
+        manager = self.checker.manager
+        return (
+            self.checker.translator.tree_translator.generation,
+            manager._swaps,
+            len(manager.variables),
         )
 
     def snapshot(self) -> Dict[str, Any]:

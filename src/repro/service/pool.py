@@ -23,7 +23,9 @@ separately so an evicted session can be persisted into a
 :class:`~repro.service.store.SnapshotStore` under its content address:
 eviction demotes a scenario from the hot tier (live kernel) to the warm
 tier (kernel snapshot on disk), from which the next request rewarms it
-via ``load_snapshot`` instead of a cold rebuild.
+via ``load_snapshot`` instead of a cold rebuild.  A session whose kernel
+is unchanged since it was loaded from, or last written to, its store
+entry is dropped without a write: the warm tier already holds it.
 
 Pinning makes the pool safe under concurrency: a battery pins every
 session it evaluates against, and pinned entries are never evicted or
@@ -134,7 +136,8 @@ class SessionPool:
         store: Optional :class:`~repro.service.store.SnapshotStore`.
             When given, an evicted entry that knows its tree fingerprint
             is snapshotted into the store before it is dropped, so the
-            scenario stays warm-startable.
+            scenario stays warm-startable — unless the store already
+            holds that kernel unchanged.
 
     All methods are thread-safe; the pool is shared between the server's
     event loop and its worker threads.
@@ -221,7 +224,9 @@ class SessionPool:
     def persist_all(self) -> int:
         """Snapshot every fingerprinted entry into the store (drain
         path: the server calls this before exiting so the next process
-        warm-starts everything).  Returns the number persisted."""
+        warm-starts everything).  Returns the number written; entries
+        the store already holds unchanged are skipped (see
+        :meth:`_persist`)."""
         with self._lock:
             count = 0
             for entry in self._entries.values():
@@ -230,15 +235,24 @@ class SessionPool:
             return count
 
     def _persist(self, entry: _Entry) -> bool:
+        """Write ``entry``'s kernel into the store unless the store
+        already holds it: a session whose kernel state is unchanged since
+        it was loaded from, or last written to, its entry — and whose
+        entry file still exists — is skipped.  Returns True on a write."""
         if self.store is None or entry.fingerprint is None:
             return False
+        session = entry.session
+        state = session.kernel_state()
+        if state == session.stored_state and entry.fingerprint in self.store:
+            return False
         try:
-            self.store.put(entry.fingerprint, entry.session.kernel_snapshot())
+            self.store.put(entry.fingerprint, session.kernel_snapshot())
         except OSError as exc:
             logger.warning(
                 "session pool: persisting %s failed: %s", entry.key, exc
             )
             return False
+        session.stored_state = state
         self._persisted += 1
         return True
 

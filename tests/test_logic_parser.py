@@ -1,8 +1,13 @@
 """The BFL DSL: parsing, precedence, errors, and print/parse round-trips."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.checker import ModelChecker
 from repro.errors import BFLSyntaxError
 from repro.ft import figure1_tree
 from repro.logic import (
@@ -28,6 +33,7 @@ from repro.logic import (
     parse_formula,
     parse_request,
 )
+from repro.logic.parser import MAX_DEPTH, MAX_NESTING
 
 from bfl_strategies import formulas_for
 
@@ -178,6 +184,83 @@ class TestErrors:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(BFLSyntaxError):
             parse("A B")
+
+
+#: Wrappers the nesting property test stacks: prefix and suffix of one
+#: more level around an inner formula.
+_LAYERS = [
+    ("(", ")"),
+    ("!", ""),
+    ("MCS(", ")"),
+    ("VOT(>= 1; H2, ", ")"),
+    ("", " & H2"),
+    ("", " => H2"),
+    ("", "[H2 := 1]"),
+]
+_CHECKER = ModelChecker(figure1_tree())
+
+
+class TestNestingBound:
+    """Hostile nesting is a positioned syntax error, never a
+    ``RecursionError``; a formula at either bound still answers."""
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("(" * 150 + "A" + ")" * 150, 1, MAX_NESTING),
+            ("\n" + "MCS(" * 100 + "A" + ")" * 100, 2, 4 * MAX_NESTING + 3),
+            ("!" * 2000 + "A", 1, 2000 - MAX_DEPTH),
+            (" & ".join(["A"] * 2000), 1, 4 * MAX_DEPTH - 2),
+            (" => ".join(["A"] * 2000), 1, 5 * (1999 - MAX_DEPTH) + 2),
+            ("A" + "[B := 1]" * 2000, 1, 1 + 8 * (MAX_DEPTH - 1)),
+        ],
+        ids=["parens", "mcs", "not", "and", "implies", "evidence"],
+    )
+    def test_too_deep_is_a_syntax_error(self, text, line, column):
+        with pytest.raises(BFLSyntaxError) as excinfo:
+            parse(text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    @pytest.mark.parametrize("wrapper", ["exists {}", "P({}) > 0.5", "IDP({}, A)"])
+    def test_statements_bound_their_operands(self, wrapper):
+        with pytest.raises(BFLSyntaxError):
+            parse(wrapper.format("(" * 300 + "A" + ")" * 300))
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=st.integers(100, 400), seed=st.integers(0, 2**32 - 1))
+    def test_any_nesting_answers_or_is_a_syntax_error(self, levels, seed):
+        # A seeded shuffle mixes the layers evenly; hypothesis's own
+        # lists lean on the first choice.
+        rng = random.Random(seed)
+        text = "IW"
+        for _ in range(levels):
+            prefix, suffix = rng.choice(_LAYERS)
+            text = prefix + text + suffix
+        # Hypothesis raises the recursion limit while it runs a test;
+        # the bounds must hold under the interpreter's default.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            try:
+                formula = parse_formula(text)
+            except BFLSyntaxError:
+                return
+            assert parse(format_formula(formula)) == formula
+            _CHECKER.check(Exists(formula))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_formulas_at_the_bound_round_trip(self):
+        for text in [
+            "(" * MAX_NESTING + "A" + ")" * MAX_NESTING,
+            "MCS(" * MAX_NESTING + "A" + ")" * MAX_NESTING,
+            "!" * (MAX_DEPTH - 1) + "A",
+            " & ".join(["A"] * MAX_DEPTH),
+            " => ".join(["A"] * MAX_DEPTH),
+            "A" + "[B := 1]" * (MAX_DEPTH - 1),
+        ]:
+            formula = parse(text)
+            assert parse(format_formula(formula)) == formula
 
 
 class TestPaperFormulae:

@@ -12,6 +12,7 @@ from repro.checker import ModelChecker
 from repro.cli import main
 from repro.errors import SnapshotError
 from repro.ft import figure1_tree
+from repro.logic.parser import MAX_DEPTH, MAX_NESTING
 from repro.service import BatchAnalyzer, QuerySpec
 from repro.service.queries import QuerySpecError, specs_from_any
 
@@ -186,6 +187,32 @@ class TestErrorHandling:
     def test_check_many_returns_none_on_error(self, analyzer):
         values = analyzer.check_many(["exists MCS(IWoS)", "bogus ("])
         assert values[0] is True and values[1] is None
+
+    def test_hostile_nesting_is_a_syntax_error_row(self, analyzer):
+        report = analyzer.run(
+            [
+                {"kind": "check", "formula": "exists " + "(" * 300 + "IS" + ")" * 300},
+                {"kind": "check", "formula": "exists (" + "!" * 2000 + "IS)"},
+                "exists IS",
+            ]
+        )
+        rows = report.to_dict()["results"]
+        assert [row.get("error_kind") for row in rows[:2]] == [
+            "BFLSyntaxError",
+            "BFLSyntaxError",
+        ]
+        assert report[2].ok and report[2].holds is True
+
+    def test_formulas_at_the_nesting_bound_answer(self, covid):
+        deepest = [
+            "exists " + "(" * MAX_NESTING + "IS" + ")" * MAX_NESTING,
+            "exists (" + "!" * (MAX_DEPTH - 1) + "IS)",
+            "exists (" + " & ".join(["IS"] * MAX_DEPTH) + ")",
+            {"kind": "satisfaction-set", "formula": "MCS(" * (MAX_NESTING - 1) + "IS" + ")" * (MAX_NESTING - 1)},
+            {"kind": "probability", "formula": " | ".join(["IS", "MoT"] * (MAX_DEPTH // 2))},
+        ]
+        report = BatchAnalyzer(covid, uniform=0.1).run(deepest)
+        assert all(row.ok for row in report.results), report.to_dict()
 
 
 class TestBatchCli:

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from bfl_strategies import small_trees
 from repro.cli import main as cli_main
 from repro.errors import QuerySpecError
-from repro.ft import dumps, figure1_tree
+from repro.ft import dumps, figure1_tree, figure3_or_tree, table1_tree
 from repro.service import (
     AnalysisServer,
     BatchAnalyzer,
@@ -204,6 +204,18 @@ class TestHTTPSurface:
         assert entry["top"] == covid.top
         assert len(entry["fingerprint"]) == 64
         assert entry["stored"] is False  # no store configured
+
+    def test_hostile_nesting_is_a_row_not_a_500(self, covid_server):
+        queries = [
+            {"kind": "check", "formula": "exists " + "(" * 300 + "IS" + ")" * 300},
+            {"kind": "check", "formula": "exists (" + "!" * 2000 + "IS)"},
+        ]
+        status, data, _ = covid_server.post("/battery", {"queries": queries})
+        assert status == 200
+        assert [row["error_kind"] for row in data["results"]] == [
+            "BFLSyntaxError",
+            "BFLSyntaxError",
+        ]
 
     def test_stats_payload_shape(self, covid_server):
         status, data, _ = covid_server.get("/stats")
@@ -399,6 +411,68 @@ class TestCacheTiers:
         assert hits == [True, True]
         assert "warnings" not in report["stats"]
         assert normalised(report["results"]) == normalised(served["results"])
+
+    def test_churn_writes_each_kernel_once(self, covid, tmp_path):
+        """Four scenarios round-robin over a two-session pool: every
+        request evicts, but a rewarmed kernel that gained nothing is not
+        written back, and every answer matches a sequential batch."""
+        trees = {
+            "covid": covid,
+            "fig1": figure1_tree(),
+            "fig3": figure3_or_tree(),
+            "table1": table1_tree(),
+        }
+        batteries = {
+            name: {
+                "uniform": UNIFORM,
+                "queries": [
+                    {"id": "mcs", "kind": "mcs", "tree": name},
+                    {"id": "holds", "formula": f"exists {tree.top}", "tree": name},
+                    {"id": "p", "kind": "probability", "formula": tree.top,
+                     "tree": name},
+                ],
+            }
+            for name, tree in trees.items()
+        }
+        expected = {
+            name: json.dumps(
+                normalised(
+                    BatchAnalyzer(trees, uniform=UNIFORM)
+                    .run(battery["queries"])
+                    .to_dict()["results"]
+                ),
+                sort_keys=True,
+            )
+            for name, battery in batteries.items()
+        }
+
+        def cycle(harness):
+            for name, battery in batteries.items():
+                status, report, _ = harness.post("/battery", battery)
+                assert status == 200
+                assert (
+                    json.dumps(normalised(report["results"]), sort_keys=True)
+                    == expected[name]
+                )
+            _, stats, _ = harness.get("/stats")
+            return stats["store"]["puts"], stats["pool"]["evictions"]
+
+        config = ServerConfig(
+            port=0, pool_size=2, store_path=str(tmp_path / "kernels")
+        )
+        with running(trees, config) as server:
+            counts = [cycle(server) for _ in range(3)]
+            assert server.server._counters["rewarms"] == 8
+        (puts1, evict1), (puts2, evict2), (puts3, evict3) = counts
+        # Each cold-built kernel is written once, when first evicted
+        # (two in the first cycle, two in the second); rewarmed
+        # kernels are dropped without a write.
+        assert (puts1, puts2, puts3) == (2, 4, 4)
+        assert evict1 < evict2 < evict3
+        assert evict3 - evict2 == 4
+        with running(trees, config) as restarted:
+            cycle(restarted)
+            assert restarted.server._counters["rewarms"] == 4
 
     @settings(max_examples=5, deadline=None)
     @given(tree=small_trees(), data=st.data())
