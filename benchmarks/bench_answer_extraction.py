@@ -4,8 +4,8 @@ earlier walk over ``Ref`` handles.
 ``iter_cubes`` now walks the kernel's int columns directly.  The
 baseline below is the walk it replaced: the same depth-first,
 low-edge-first enumeration, but over ``Ref.low``/``Ref.high``, so every
-node it visits for the first time is interned through ``_wrap`` with a
-``weakref.finalize`` hook that dies right after the walk.  Both arms
+node it visits for the first time is interned through ``_wrap`` as a
+``Ref`` that dies right after the walk.  Both arms
 walk the same warm ``MCS(top)`` / ``MPS(top)`` BDD of one
 ``ModelChecker`` (translation excluded), and the agreement arm asserts
 they yield the identical cube sequence.

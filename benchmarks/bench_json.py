@@ -13,10 +13,16 @@ Benchmarks that want their numbers tracked across PRs call
     }
 
 One run per *label*: re-running under the same label (``BENCH_LABEL`` env
-var, default ``"dev"``) replaces that run in place, so local experiments
-don't pile up while the committed per-PR labels form the perf
-trajectory.  CI runs under the label ``"ci"``, which is likewise
-replaced on every pass and never committed.
+var) replaces that run in place, so the committed per-PR labels form the
+perf trajectory.  CI runs under the labels ``"ci"`` and
+``"ci-no-numpy"``, which are likewise replaced on every pass and never
+committed.
+
+Only a labelled run writes the tracked files.  A run without
+``BENCH_LABEL`` (a local gate pass, a script run by hand) records the
+same run under the label ``"dev"`` in the gitignored
+``benchmarks/results/local/`` instead, so it never leaves the working
+tree dirty with one machine's timings.
 """
 
 from __future__ import annotations
@@ -26,28 +32,30 @@ import os
 from pathlib import Path
 from typing import Any, Dict
 
-#: Where the JSON records live (committed to the repo).
+#: Where the labelled JSON records live (committed to the repo).
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+#: Where unlabelled runs land (gitignored).
+LOCAL_RESULTS_DIR = RESULTS_DIR / "local"
 
 
-def bench_label(default: str = "dev") -> str:
-    """The label for this run (``BENCH_LABEL`` env var)."""
-    return os.environ.get("BENCH_LABEL", default)
-
-
-def record_run(name: str, run: Dict[str, Any], label: str = None) -> Path:
+def record_run(name: str, run: Dict[str, Any]) -> Path:
     """Insert (or replace, by label) ``run`` into ``BENCH_<name>.json``.
+
+    The label is ``BENCH_LABEL``; without it the run is labelled
+    ``"dev"`` and goes to :data:`LOCAL_RESULTS_DIR`, not the tracked
+    :data:`RESULTS_DIR`.
 
     Args:
         name: Benchmark name; file is ``BENCH_<name>.json``.
         run: The measurements.  A ``"label"`` key is added/overwritten.
-        label: Run label; defaults to :func:`bench_label`.
 
     Returns:
         The path written.
     """
-    label = label if label is not None else bench_label()
-    path = RESULTS_DIR / f"BENCH_{name}.json"
+    label = os.environ.get("BENCH_LABEL")
+    directory = RESULTS_DIR if label else LOCAL_RESULTS_DIR
+    label = label or "dev"
+    path = directory / f"BENCH_{name}.json"
     data: Dict[str, Any] = {"benchmark": name, "runs": []}
     if path.exists():
         try:
@@ -61,6 +69,6 @@ def record_run(name: str, run: Dict[str, Any], label: str = None) -> Path:
     ]
     runs.append({"label": label, **run})
     data = {"benchmark": name, "runs": runs}
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return path

@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`BDDManager` / :class:`Ref` — complement-edge reduced ordered
   BDDs (integer-handle kernel) with Apply, Restrict, Compose, Rename and
-  inspection helpers; ``Node`` remains as a deprecated alias of ``Ref``;
+  inspection helpers;
 * :mod:`quantify <repro.bdd.quantify>` — existential/universal quantification
   (textbook and one-pass variants);
 * :mod:`allsat <repro.bdd.allsat>` — cube and total-model enumeration
@@ -44,12 +44,11 @@ from .ordering import (
     weight_order,
 )
 from .quantify import exists, exists_textbook, forall, is_satisfiable, is_tautology
-from .ref import TERMINAL_LEVEL, Node, Ref
+from .ref import TERMINAL_LEVEL, Ref
 from .reorder import sift, sift_rebuild, transfer
 
 __all__ = [
     "BDDManager",
-    "Node",
     "Ref",
     "TERMINAL_LEVEL",
     "OperationCacheStats",

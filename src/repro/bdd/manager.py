@@ -29,7 +29,7 @@ invariants on top of the complement-edge form:
 
 The storage layer is *array-native*: the parallel node arrays are
 contiguous ``array.array('q')`` buffers (``_level``, ``_low``,
-``_high``, ``_refcount``), the unique table is an open-addressed hash
+``_high``), the unique table is an open-addressed hash
 table over those buffers (power-of-two capacity, linear probing,
 tombstone-free rebuild on GC), and the operation memo tables are lossy
 direct-mapped computed tables with packed integer keys in the
@@ -49,9 +49,9 @@ standard-triple-normalised :meth:`BDDManager.ite`.
 Two memory-management facilities sit on top of the node store (both in
 the CUDD/BuDDy tradition):
 
-* **garbage collection** — refs are interned *weakly* and every node
-  index carries an external reference count, decremented by a
-  ``weakref.finalize`` hook when the last handle dies.  A mark-and-sweep
+* **garbage collection** — refs are interned *weakly*, so the interning
+  table alone records which nodes user code holds: an entry vanishes
+  when the last handle for its edge dies.  A mark-and-sweep
   :meth:`BDDManager.collect` reclaims every node unreachable from a live
   Ref into a free list that :meth:`_mk` reuses, so node indices are no
   longer append-only and long-lived sessions stay flat;
@@ -109,15 +109,6 @@ _FREE_LEVEL = -1
 #: Budget/deadline overshoot is bounded by one stride of work.
 _GOV_STRIDE = 64
 
-
-def _release_external(refcount: "array", index: int) -> None:
-    """``weakref.finalize`` hook: the last Ref for an edge of ``index``
-    died.  Deliberately a module function over the refcount buffer so the
-    finalizer registry never pins the manager itself.  The buffer object
-    is identity-stable for the manager's lifetime (``array.array`` grows
-    in place), so hooks registered before any growth stay valid."""
-    if refcount[index] > 0:
-        refcount[index] -= 1
 
 #: Opcodes for the packed-key binary operation cache.  Only AND and
 #: XOR run a recursion; every other connective is an O(1) complement
@@ -445,10 +436,6 @@ class BDDManager:
         self._level = array("q", [TERMINAL_LEVEL])
         self._low = array("q", [0])
         self._high = array("q", [0])
-        #: External reference counts, node index -> number of live Refs
-        #: whose edge points at that index (both polarities included).
-        #: Parallel to the node arrays; reclaimed slots always hold 0.
-        self._refcount = array("q", [0])
         # Open-addressed unique table over the node arrays: slots hold a
         # node index or -1 (empty); the key of an occupied slot is the
         # node's (level, low, high) read straight from the arrays.
@@ -495,8 +482,9 @@ class BDDManager:
         # Ref interning: one Ref object per live edge, so identity
         # comparison (`u is manager.false`) works across the public API.
         # The interning is *weak* — when user code drops the last handle
-        # for an edge the Ref dies, its finalizer decrements the node's
-        # external refcount, and the node becomes eligible for collect().
+        # for an edge the Ref dies, its entry leaves this table, and the
+        # node becomes eligible for collect().  The table's keys are the
+        # collector's external roots.
         self._refs: "weakref.WeakValueDictionary[int, Ref]" = (
             weakref.WeakValueDictionary()
         )
@@ -541,18 +529,13 @@ class BDDManager:
     def _wrap(self, edge: int) -> Ref:
         """The interned :class:`Ref` for ``edge``.
 
-        Interning a fresh handle pins the underlying node for the garbage
-        collector: the node's external refcount goes up here and comes
-        back down from the Ref's finalizer when the handle dies.
+        The interning entry pins the underlying node for the garbage
+        collector for as long as the handle lives.
         """
         ref = self._refs.get(edge)
         if ref is None:
             ref = Ref(self, edge)
             self._refs[edge] = ref
-            refcount = self._refcount
-            index = edge >> 1
-            refcount[index] += 1
-            weakref.finalize(ref, _release_external, refcount, index)
         return ref
 
     def _unwrap(self, ref: Ref) -> int:
@@ -906,7 +889,6 @@ class BDDManager:
             self._level.append(level)
             self._low.append(low)
             self._high.append(high)
-            self._refcount.append(0)
         live = len(self._level) - len(free)
         if live > self._peak_nodes:
             self._peak_nodes = live
@@ -1877,15 +1859,6 @@ class BDDManager:
         assert len(self._ut_slots) >= 2 * self._ut_count, (
             "unique table over its load factor"
         )
-        assert len(self._refcount) == len(self._level), (
-            "refcount array out of sync with the node arrays"
-        )
-        for index, count in enumerate(self._refcount):
-            assert count >= 0, f"negative refcount for index {index}"
-            if count > 0:
-                assert index == 0 or self._level[index] != _FREE_LEVEL, (
-                    f"externally referenced node {index} was reclaimed"
-                )
         for edge, ref in list(self._refs.items()):
             assert ref.edge == edge, "interning table maps an edge to a foreign Ref"
             index = edge >> 1
@@ -2162,7 +2135,6 @@ class BDDManager:
             manager._level.extend(levels)
             manager._low.extend(lows)
             manager._high.extend(highs)
-            manager._refcount.frombytes(bytes(8 * len(levels)))
             manager._peak_nodes = len(levels) + 1
             manager._ut_rebuild()
         else:
@@ -2292,19 +2264,11 @@ class BDDManager:
     def _mark_external(self) -> Tuple[bytearray, int]:
         """:meth:`_mark` from every node with a live external Ref.
 
-        Roots come from a scan over the refcount buffer.  Finalizers of
-        cycle-collected Refs may decrement counts at any allocation
-        point, which only ever shrinks the root set — a stale positive
-        read keeps a node alive one collection longer, never frees a
-        live one.
+        Roots are the keys of the interning table.  A key whose Ref died
+        with its removal still pending only keeps its node alive one
+        collection longer, never frees a live one.
         """
-        np_mod = _nputil.np
-        if np_mod is not None:
-            view = np_mod.frombuffer(self._refcount, dtype=np_mod.int64)
-            return self._mark(np_mod.nonzero(view > 0)[0].tolist())
-        return self._mark(
-            index for index, refs in enumerate(self._refcount) if refs > 0
-        )
+        return self._mark([edge >> 1 for edge in self._refs.keys()])
 
     def reachable_node_count(self) -> int:
         """Stored nodes reachable from live external Refs (terminal
@@ -2315,8 +2279,8 @@ class BDDManager:
     def collect(self) -> int:
         """Mark-and-sweep garbage collection; returns the reclaim count.
 
-        Roots are the node indices with a positive external refcount
-        (i.e. at least one live :class:`Ref` handle, of either polarity).
+        Roots are the node indices with at least one live :class:`Ref`
+        handle (of either polarity) in the interning table.
         Every unreachable node leaves the unique table and its index goes
         on the free list for :meth:`_mk` to reuse.  Operation memo tables
         are dropped whenever anything was reclaimed — cached entries may
@@ -2439,11 +2403,14 @@ class BDDManager:
     # ------------------------------------------------------------------
 
     def _reorder_context(self) -> Tuple[List[int], Dict[int, Set[int]]]:
-        """Internal parent counts and per-level membership for a
-        reordering session (O(nodes) to build, maintained incrementally
-        across swaps)."""
+        """Parent counts and per-level membership for a reordering
+        session (O(nodes) to build, maintained incrementally across
+        swaps).  Each live Ref counts as one more parent of its node, so
+        a node is dead exactly when its count reaches zero."""
         nslots = len(self._level)
         parents = [0] * nslots
+        for edge in self._refs.keys():
+            parents[edge >> 1] += 1
         members: Dict[int, Set[int]] = {}
         level, low, high = self._level, self._low, self._high
         for index in range(1, nslots):
@@ -2570,17 +2537,12 @@ class BDDManager:
         self._order[i], self._order[j] = b, a
         self._levels[a], self._levels[b] = j, i
         self._swaps += 1
-        # Old lower-level nodes that lost their last parent (and carry no
-        # external handle) are dead; reclaim them now.  The cascade can
+        # Old lower-level nodes that lost their last parent (a live Ref
+        # counts as one) are dead; reclaim them now.  The cascade can
         # only reach strictly deeper nodes, whose other parents keep them
         # alive in the common case.
-        refcount = self._refcount
         free = self._free
-        stack = [
-            idx
-            for idx in y_nodes
-            if parents[idx] == 0 and not refcount[idx]
-        ]
+        stack = [idx for idx in y_nodes if parents[idx] == 0]
         while stack:
             idx = stack.pop()
             lv = level[idx]
@@ -2590,7 +2552,7 @@ class BDDManager:
                 child = child_edge >> 1
                 if child:
                     parents[child] -= 1
-                    if parents[child] == 0 and not refcount[child]:
+                    if parents[child] == 0:
                         stack.append(child)
             level[idx] = _FREE_LEVEL
             free.append(idx)

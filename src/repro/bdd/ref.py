@@ -45,10 +45,10 @@ class Ref:
     spirit: mutating a ref corrupts the manager's interning table.
 
     Refs participate in the kernel's garbage collector: the manager
-    interns them weakly and keeps an external reference count per node
-    index, decremented by a ``weakref.finalize`` hook when the last
-    handle for an edge dies (hence the ``__weakref__`` slot).  A node is
-    reclaimable exactly when no live Ref can reach it.
+    interns them weakly (hence the ``__weakref__`` slot), and its
+    interning table is the collector's root set, so an edge stops being
+    a root when the last handle for it dies.  A node is reclaimable
+    exactly when no live Ref can reach it.
     """
 
     __slots__ = ("manager", "edge", "__weakref__")
@@ -195,8 +195,3 @@ class Ref:
                     seen.add(child)
                     stack.append(child)
         return len(seen)
-
-
-#: Backwards-compatible alias for code written against the pre-refactor
-#: ``Node`` API.  See DESIGN.md ("Node -> Ref migration").
-Node = Ref

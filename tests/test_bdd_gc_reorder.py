@@ -3,8 +3,10 @@
 Pins the contract of the memory-managed kernel:
 
 * ``collect()`` reclaims exactly the nodes unreachable from live Refs,
-  leaves the unique table / refcounts consistent with holes in the index
-  space, and ``live_nodes`` matches the reachable count afterwards;
+  leaves the unique and interning tables consistent with holes in the
+  index space, and ``live_nodes`` matches the reachable count afterwards;
+* interning a handle registers no per-Ref finalizer: the interning table
+  is the only record of which nodes user code holds;
 * reclaimed indices are reused by ``_mk`` without breaking canonicity;
 * ``swap``/``sift_inplace`` preserve function semantics — every
   pre-existing Ref keeps denoting the same Boolean function — verified
@@ -16,13 +18,14 @@ Pins the contract of the memory-managed kernel:
 
 import gc as pygc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BDDManager, sift, sift_rebuild, transfer
-from repro.checker import FormulaTranslator, check
+from repro.checker import FormulaTranslator, ModelChecker, check
 from repro.ft import figure1_tree, tree_to_bdd
 from repro.logic import ReferenceSemantics
 from repro.casestudy import build_covid_tree
@@ -115,6 +118,15 @@ class TestCollect:
         dead = m.cache_stats()["dead_nodes"]
         assert dead > 0
         assert m.collect() == dead
+
+    def test_handles_register_no_finalizers(self):
+        def finalizers():
+            return sum(isinstance(o, weakref.finalize) for o in pygc.get_objects())
+
+        before = finalizers()
+        checker = ModelChecker(build_covid_tree())
+        assert len(checker.minimal_cut_sets()) == 12
+        assert finalizers() == before
 
     def test_peak_live_nodes_survives_collection(self):
         m = BDDManager(["a", "b", "c", "d"])

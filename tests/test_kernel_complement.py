@@ -22,8 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import BDDManager, Ref
-from repro.bdd.ref import Node
+from repro.bdd import BDDManager
 from repro.checker import FormulaTranslator, check
 from repro.logic import ReferenceSemantics
 
@@ -178,10 +177,7 @@ class TestIterativeInspection:
         assert m.evaluate(node, assignment) is False
 
 
-class TestNodeAliasMigration:
-    def test_node_is_ref(self):
-        assert Node is Ref
-
+class TestRefTraversalSurface:
     def test_old_surface_still_walks(self, manager):
         f = _sample_function(manager)
         node = f
