@@ -135,7 +135,7 @@ def run_soak(tree, queries, gc_on: bool) -> dict:
         "live_nodes": stats["live_nodes"],
         "gc_runs": stats["gc_runs"],
         "reclaimed": stats["reclaimed"],
-        "dead_at_end": stats["dead_nodes"],
+        "dead_at_end": manager.node_count() - manager.reachable_node_count(),
         "answers": [r.holds for r in report.results],
     }
     if gc_on:

@@ -1,6 +1,6 @@
 """Docs drift gate: generated-surface tables must match the live code.
 
-The repo's documentation contains four tables that restate machine
+The repo's documentation contains five tables that restate machine
 truth, plus a README whose command inventory tends to rot:
 
 * ``docs/dsl.md`` — the query-kind table between
@@ -19,6 +19,10 @@ truth, plus a README whose command inventory tends to rot:
   :class:`~repro.service.options.AnalysisOptions`, in order, each with
   its query-file key, ``bfl batch``/``bfl serve`` flag, HTTP field and
   both defaults (API/``bfl batch`` and ``bfl serve``).
+* ``docs/operations.md`` — the memory-stats table between
+  ``<!-- memory-keys:begin -->`` / ``<!-- memory-keys:end -->`` must
+  list exactly the keys of ``stats.scenarios.<name>.memory`` in a real
+  battery report, in order, so a removed stats key cannot linger.
 * ``README.md`` — every ``bfl`` subcommand registered in
   :func:`repro.cli.build_parser` must appear (as ``bfl <name>``).
 * ``README.md`` and ``docs/*.md`` — every ``--flag`` shown after
@@ -64,9 +68,9 @@ def _marked_rows(
     if not match:
         return [f"{path.name}: lost its {begin} / {end} markers"], []
     rows = [
-        line
+        line.strip()
         for line in match.group(1).splitlines()
-        if line.startswith("| `")
+        if line.strip().startswith("| `")
     ]
     return [], rows
 
@@ -255,6 +259,34 @@ def check_options_table() -> List[str]:
     return problems
 
 
+def check_memory_keys() -> List[str]:
+    """docs/operations.md memory-stats table vs the keys of
+    ``stats.scenarios.<name>.memory`` in a real battery report."""
+    from repro.ft import figure1_tree
+    from repro.service import BatchAnalyzer
+
+    problems, rows = _marked_rows(
+        DOCS_OPERATIONS,
+        "<!-- memory-keys:begin -->",
+        "<!-- memory-keys:end -->",
+    )
+    if problems:
+        return problems
+    documented = [
+        row.strip("|").split("|")[0].strip().strip("`")
+        for row in rows
+    ]
+    report = BatchAnalyzer(figure1_tree()).run([{"kind": "mcs"}])
+    (scenario,) = report.stats["scenarios"].values()
+    live = list(scenario["memory"])
+    if documented != live:
+        problems.append(
+            f"operations.md memory table lists {documented} but a "
+            f"battery report's memory block has {live}"
+        )
+    return problems
+
+
 def check_readme_subcommands() -> List[str]:
     """Every ``bfl`` subcommand must appear in README as ``bfl <name>``."""
     if not README.is_file():
@@ -305,6 +337,7 @@ CHECKS = (
     check_server_endpoints,
     check_server_error_kinds,
     check_options_table,
+    check_memory_keys,
     check_readme_subcommands,
     check_doc_flags,
 )

@@ -229,7 +229,8 @@ GATES: Tuple[GateSpec, ...] = (
         script="docs_gate.py",
         title="docs drift: dsl.md kinds vs registry, server.md endpoints "
         "vs ROUTES, error_kind taxonomy, operations.md options table vs "
-        "AnalysisOptions, README subcommand inventory, "
+        "AnalysisOptions, operations.md memory keys vs a battery "
+        "report, README subcommand inventory, "
         "bfl <sub> --flag examples vs the parser",
         override="PYTHONPATH",
     ),

@@ -7,7 +7,9 @@ variables are *don't-cares*.  We expose both views:
 * :func:`iter_cubes` — one partial assignment (cube) per 1-path, exactly the
   paper's "collect every path" reading;
 * :func:`iter_models` — total assignments over an explicit variable scope,
-  i.e. the satisfying status vectors ``[[b]]``.
+  i.e. the satisfying status vectors ``[[b]]``;
+* :func:`path_sets` — the failed (or operational) set of each path, the
+  MCS/MPS view, read off the walk without building the cubes.
 """
 
 from __future__ import annotations
@@ -125,6 +127,49 @@ def greedy_witness(
         decided[name] = bit
         edge = (high[index] if bit else low[index]) ^ c
     return decided
+
+
+def path_sets(manager: BDDManager, u: Ref, value: bool) -> List[FrozenSet[str]]:
+    """``cube_sets(iter_cubes(manager, u), value)`` without the cubes:
+    the same depth-first walk, but a path keeps only the names it
+    decides to ``value`` (a tuple shared with the paths below).  Low
+    edges are stepped in place; a branching node pushes its high edge.
+    Under a governor each 1-path is charged ``len(cube) + 1`` visits,
+    as :func:`iter_cubes` charges its cubes.
+    """
+    edge = manager._unwrap(u)
+    level, low, high = manager._level, manager._low, manager._high
+    order = manager._order
+    governed = manager.governor is not None
+    charged = 0
+    sets = set()
+    # A frame is (edge, decisions above it, names kept above it).
+    stack = [] if edge == _FALSE else [(edge, 0, ())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        edge, depth, kept = pop()
+        while edge != _TRUE:
+            index = edge >> 1
+            c = edge & 1
+            depth += 1
+            low_edge = low[index] ^ c
+            if low_edge == _FALSE:
+                edge, keep = high[index] ^ c, value
+            else:
+                high_edge = high[index] ^ c
+                if high_edge != _FALSE:
+                    name = order[level[index]]
+                    push((high_edge, depth, kept + (name,) if value else kept))
+                edge, keep = low_edge, not value
+            if keep:
+                kept += (order[level[index]],)
+        if governed:
+            charged += depth + 1
+            if charged >= _GOV_STRIDE:
+                manager._governed_point(weight=charged)
+                charged = 0
+        sets.add(frozenset(kept))
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def cube_sets(cubes: Iterable[Cube], value: bool) -> List[FrozenSet[str]]:

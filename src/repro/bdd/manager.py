@@ -467,8 +467,9 @@ class BDDManager:
         # per-query settings) from thrashing each other's entries.  All
         # of it participates in the GC/reordering lifecycle via
         # clear_caches (reclaimed indices may be reused; swaps allocate
-        # fresh functions into old slots).
-        self._prob_caches: Dict[Tuple[Tuple[str, float], ...], array] = {}
+        # fresh functions into old slots).  Each array travels with its
+        # count of valued entries, so stats never scan for NaNs.
+        self._prob_caches: Dict[Tuple[Tuple[str, float], ...], Tuple[array, int]] = {}
         # Fast paths for the hot case of one mapping reused call after
         # call: skip rebuilding the sorted profile key when the weights
         # compare equal to the previous call's (a dict compare in C),
@@ -1564,12 +1565,11 @@ class BDDManager:
         # profile nor registers a useless empty one.  Each cache is a
         # dense float64 array parallel to the node store (NaN = not
         # valued), extended when the store has grown since last use.
-        cache = caches.pop(profile, None)
-        fresh = cache is None
+        entry = caches.pop(profile, None)
+        fresh = entry is None
         nslots = len(self._level)
-        if fresh:
-            cache = array("d", [nan]) * nslots
-        elif len(cache) < nslots:
+        cache, valued = entry or (array("d", [nan]) * nslots, 0)
+        if len(cache) < nslots:
             cache.extend(array("d", [nan]) * (nslots - len(cache)))
         stats = self.op_stats
         governed = self._governor is not None
@@ -1609,7 +1609,7 @@ class BDDManager:
             except MissingWeightError:
                 if not fresh:
                     # Phase 1 wrote nothing: the popped cache is intact.
-                    caches[profile] = cache
+                    caches[profile] = entry
                 raise
             # Phase 2: children sit at strictly greater levels, so a
             # level-descending sweep values them before their parents.
@@ -1630,10 +1630,11 @@ class BDDManager:
                     hv = 1.0 if hi >> 1 == 0 else cache[hi >> 1]
                     cache[i] = p * hv + (1.0 - p) * lv
             stats.prob_misses += len(pending)
+            valued += len(pending)
         if fresh:
             while len(caches) >= _PROB_PROFILE_LIMIT:
                 del caches[next(iter(caches))]  # evict least recently used
-        caches[profile] = cache  # (re-)insert as most recently used
+        caches[profile] = (cache, valued)  # (re-)insert as most recent
         value = cache[index]
         return 1.0 - value if root & 1 else value
 
@@ -1873,26 +1874,20 @@ class BDDManager:
         manager's lifetime, even across :meth:`clear_caches`); the
         ``*_cache_size`` entries are the live memo-table populations, and
         ``unique_table_size`` / ``live_nodes`` / ``peak_live_nodes``
-        describe the node store itself.  ``dead_nodes`` is the number of
-        live slots no longer reachable from any external Ref (what the
-        next :meth:`collect` would reclaim — computed by an O(nodes) mark
-        pass); ``gc_runs`` / ``reclaimed`` / ``swaps`` / ``sift_runs`` /
-        ``auto_reorders`` are the monotone memory-management counters.
+        describe the node store itself; ``gc_runs`` / ``reclaimed`` /
+        ``swaps`` / ``sift_runs`` / ``auto_reorders`` are the monotone
+        memory-management counters.  Every entry is a kept count: O(1)
+        per call.  What the next :meth:`collect` would reclaim needs a
+        mark pass: ``node_count() - reachable_node_count()``.
         """
         data = self.op_stats.snapshot()
         data["apply_cache_size"] = len(self._apply_cache)
         data["ite_cache_size"] = len(self._ite_cache)
         data["restrict_cache_size"] = len(self._restrict_cache)
         data["compose_cache_size"] = len(self._compose_cache)
-        np_mod = _nputil.np
-        prob_entries = 0
-        for cache in self._prob_caches.values():
-            if np_mod is not None:
-                view = np_mod.frombuffer(cache, dtype=np_mod.float64)
-                prob_entries += int((view == view).sum())
-            else:
-                prob_entries += sum(1 for v in cache if v == v)
-        data["prob_cache_size"] = prob_entries
+        data["prob_cache_size"] = sum(
+            valued for _, valued in self._prob_caches.values()
+        )
         data["prob_profiles"] = len(self._prob_caches)
         data["unique_table_size"] = self._ut_count
         data["unique_capacity"] = len(self._ut_slots)
@@ -1907,8 +1902,6 @@ class BDDManager:
         data["live_nodes"] = self.node_count()
         data["peak_live_nodes"] = self._peak_nodes
         data["free_list"] = len(self._free)
-        _, reachable = self._mark_external()
-        data["dead_nodes"] = self.node_count() - reachable
         data["gc_runs"] = self._gc_runs
         data["reclaimed"] = self._reclaimed
         data["swaps"] = self._swaps

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
 
+from ..bdd.allsat import path_sets
 from ..bdd.manager import BDDManager
 from ..errors import LogicError, StatusVectorError
 from ..ft.tree import FaultTree, StatusVector
@@ -187,16 +188,16 @@ class ModelChecker:
         )
 
     def minimal_cut_sets(self, element: Optional[str] = None) -> List[FrozenSet[str]]:
-        """MCSs of ``element`` (default: the top level event) via
-        ``[[MCS(element)]]``."""
+        """MCSs of ``element`` (default: the top level event): the
+        failed sets of ``[[MCS(element)]]``."""
         target = element if element is not None else self.tree.top
-        return self.satisfaction_set(MCS(Atom(target))).failed_sets()
+        return path_sets(self.manager, self.translator.bdd(MCS(Atom(target))), True)
 
     def minimal_path_sets(self, element: Optional[str] = None) -> List[FrozenSet[str]]:
-        """MPSs of ``element`` (default: the top level event) via
-        ``[[MPS(element)]]``."""
+        """MPSs of ``element`` (default: the top level event): the
+        operational sets of ``[[MPS(element)]]``."""
         target = element if element is not None else self.tree.top
-        return self.satisfaction_set(MPS(Atom(target))).operational_sets()
+        return path_sets(self.manager, self.translator.bdd(MPS(Atom(target))), False)
 
     # ------------------------------------------------------------------
     # Independence (IDP / SUP) and IBE

@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional
 
-from ..bdd.allsat import cube_sets, iter_cubes
+from ..bdd.allsat import path_sets
 from ..bdd.manager import BDDManager
 from ..bdd.ordering import resolve_order
 from ..bdd.minimal import maximal_solutions, minimal_solutions
@@ -160,7 +160,7 @@ def minimal_cut_sets(
     root = tree_to_bdd(tree, manager, element)
     scope = sorted(manager.support(root), key=manager.level_of)
     minimal = minimal_solutions(manager, root, scope)
-    return cube_sets(iter_cubes(manager, minimal), True)
+    return path_sets(manager, minimal, True)
 
 
 def minimal_path_sets(
@@ -179,7 +179,7 @@ def minimal_path_sets(
     scope = sorted(manager.support(root), key=manager.level_of)
     negated = manager.negate(root)
     maximal = maximal_solutions(manager, negated, scope)
-    return cube_sets(iter_cubes(manager, maximal), False)
+    return path_sets(manager, maximal, False)
 
 
 def structural_importance(

@@ -80,10 +80,3 @@ def example_vot_tree() -> FaultTree:
         .vot_gate("V", 2, "a", "b", "c")
         .build("V")
     )
-
-
-def counterexample_section_tree() -> FaultTree:
-    """The small tree used in Sec. VI's opening example: the Fig. 1 shape,
-    where {IW, H3, IT} is a cut set but not minimal and the suitable
-    counterexample is the contained MCS {IW, H3}."""
-    return figure1_tree()

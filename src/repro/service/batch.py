@@ -482,17 +482,17 @@ class BatchAnalyzer:
             )
         # Likewise a flat entry no scenario's tree can use is a typo,
         # not a probability — per-scenario filtering would otherwise
-        # drop it silently.
-        known_events = {
-            event
-            for tree in self._trees.values()
-            for event in tree.basic_events
-        }
-        stray = [
+        # drop it silently.  The event scan ends once every flat entry is
+        # placed, so a battery without flat entries skips it.
+        stray = {
             key
             for key, value in probabilities.items()
-            if not isinstance(value, Mapping) and key not in known_events
-        ]
+            if not isinstance(value, Mapping)
+        }
+        for tree in self._trees.values():
+            if not stray:
+                break
+            stray.difference_update(tree.basic_events)
         if stray:
             raise QuerySpecError(
                 "probabilities for event(s) unknown to every scenario: "
@@ -502,36 +502,6 @@ class BatchAnalyzer:
     # ------------------------------------------------------------------
     # Scenarios
     # ------------------------------------------------------------------
-
-    def add_scenario(self, name: str, tree: FaultTree) -> AnalysisSession:
-        """Register (or replace) a named scenario tree and return its
-        (freshly built) session."""
-        if name in getattr(self, "_variants", {}):
-            raise QuerySpecError(
-                f"scenario name {name!r} is already a variant"
-            )
-        self._register(name, tree)
-        return self.session(name)
-
-    def add_variant(
-        self,
-        name: str,
-        edits: Sequence[Any],
-        base: str = DEFAULT_SCENARIO,
-        probabilities: Optional[Mapping[str, float]] = None,
-    ) -> AnalysisSession:
-        """Register a copy-on-write variant scenario and return its
-        session (forked from the — possibly just-built — base session).
-
-        Equivalent to a ``variants:`` entry in a query file: ``edits``
-        is a :mod:`repro.ft.edits` edit script applied to the ``base``
-        scenario's tree; the session shares the base kernel.
-        """
-        definition: Dict[str, Any] = {"base": base, "edits": list(edits)}
-        if probabilities is not None:
-            definition["probabilities"] = dict(probabilities)
-        self._register_variant(name, definition)
-        return self.session(name)
 
     def _register_variant(
         self, name: str, definition: Mapping[str, Any]
@@ -1172,7 +1142,6 @@ class BatchAnalyzer:
             "memory": {
                 "live_nodes": kernel["live_nodes"],
                 "peak_live_nodes": kernel["peak_live_nodes"],
-                "dead_nodes": kernel["dead_nodes"],
                 "free_list": kernel["free_list"],
                 "gc_runs": kernel["gc_runs"],
                 "reclaimed": kernel["reclaimed"],

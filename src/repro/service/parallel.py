@@ -467,7 +467,6 @@ _MAX_STAT_KEYS = frozenset(
         "bdd_unique_table",
         "live_nodes",
         "peak_live_nodes",
-        "dead_nodes",
         "free_list",
         "prob_cache",
         # Open-addressed table health (per-manager sizes/watermarks):

@@ -354,8 +354,7 @@ class BatchReport:
 
 
 def sets_view(sets: Sequence[frozenset]) -> Tuple[Tuple[str, ...], ...]:
-    """Deterministic tuple-of-tuples rendering of a family of event sets."""
-    return tuple(
-        tuple(sorted(s))
-        for s in sorted(sets, key=lambda s: (len(s), sorted(s)))
-    )
+    """Deterministic tuple-of-tuples rendering of a family of event sets,
+    smallest first (each set sorted once, then ordered by its rows)."""
+    rows = [tuple(sorted(s)) for s in sets]
+    return tuple(sorted(rows, key=lambda row: (len(row), row)))

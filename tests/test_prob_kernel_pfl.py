@@ -241,6 +241,75 @@ class TestProbCacheLifecycle:
         manager.check_invariants()
 
 
+    def test_kept_size_matches_a_dense_scan_at_every_step(self):
+        """``prob_cache_size`` is a count kept as entries are written;
+        after every kind of cache event it must equal a NaN scan of the
+        profiles' arrays."""
+        from repro.bdd.manager import _PROB_PROFILE_LIMIT
+        from repro.errors import ResourceLimitError
+        from repro.runtime.limits import Governor
+
+        tree = build_covid_tree()
+        manager = BDDManager(tree.basic_events)
+        root = tree_to_bdd(tree, manager)
+        events = list(tree.basic_events)
+
+        def agrees():
+            dense = sum(
+                sum(1 for value in cache if value == value)
+                for cache, _ in manager._prob_caches.values()
+            )
+            assert manager.cache_stats()["prob_cache_size"] == dense
+            return dense
+
+        assert agrees() == 0
+        for i in range(3):  # several profiles, one partly valued
+            manager.probability(root, _uniform(tree, (i + 1) / 10.0))
+        manager.probability(manager.restrict(root, events[0], True), _uniform(tree))
+        assert agrees() > 0
+        for i in range(_PROB_PROFILE_LIMIT + 2):  # LRU eviction
+            manager.probability(root, _uniform(tree, (i + 4) / 10.0))
+            agrees()
+        assert manager.cache_stats()["prob_profiles"] == _PROB_PROFILE_LIMIT
+        evicted = agrees()
+        with pytest.raises(MissingWeightError):  # a fresh profile
+            manager.probability(root, {events[0]: 0.5})
+        assert agrees() == evicted
+        partial = {name: 0.9 for name in events[1:]}
+        restricted = manager.restrict(root, events[0], True)
+        manager.probability(restricted, partial)
+        warm = agrees()
+        with pytest.raises(MissingWeightError):  # a warm profile
+            manager.probability(root, partial)
+        assert agrees() == warm
+        grown = manager.and_(
+            restricted,
+            manager.xor(manager.var(events[1]), manager.var(events[2])),
+        )
+        manager.probability(grown, partial)  # store growth
+        assert agrees() > warm
+        unvalued = manager.or_(grown, manager.var(events[3]))
+        manager.governor = Governor(step_budget=1).start()
+        with pytest.raises(ResourceLimitError):  # the abort drops them all
+            manager.probability(unvalued, partial)
+        manager.governor = None
+        assert agrees() == 0
+        manager.probability(grown, partial)
+        assert agrees() > 0
+        del grown, restricted, unvalued
+        assert manager.collect() > 0
+        assert agrees() == 0
+        manager.probability(root, _uniform(tree))
+        assert manager.collect() == 0  # nothing reclaimed: entries kept
+        assert agrees() > 0
+        manager.sift_inplace(max_rounds=1)
+        assert agrees() == 0
+        manager.probability(root, _uniform(tree))
+        assert agrees() > 0
+        manager.clear_caches()
+        assert agrees() == 0
+
+
 class TestHypothesisCrossValidation:
     @given(
         seed=st.integers(0, 10**6),

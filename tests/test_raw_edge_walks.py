@@ -8,20 +8,21 @@ one interned handle per visited node); on random trees and formulas, with
 negation so complement edges are exercised, and after a collection or an
 in-place sift has renumbered or reordered the kernel, the raw walks must
 give the identical answers: the same cubes in the same order with the
-same key order, the same terminal, the same decisions.
+same key order, the same terminal, the same decisions.  The MCS/MPS set
+walk (``allsat.path_sets``) must equal the sets read off those cubes.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bdd.allsat import greedy_witness, iter_cubes
+from repro.bdd.allsat import cube_sets, greedy_witness, iter_cubes, path_sets
 from repro.casestudy import build_covid_tree
 from repro.checker import FormulaTranslator, ModelChecker
 from repro.checker.counterexample import algorithm4
 from repro.checker.evaluate import walk
 from repro.errors import StatusVectorError
-from repro.logic import MCS, MPS, Atom, Not
+from repro.logic import MCS, MPS, Atom, Equiv, Not
 
 from bfl_strategies import formulas_for, small_trees, vectors_for
 
@@ -130,6 +131,37 @@ def test_raw_walks_equal_ref_walks(data, tree, churn):
 
 @given(data=st.data(), tree=small_trees(max_basic_events=5))
 @settings(**_SETTINGS)
+@pytest.mark.parametrize("churn", ["none", "collect", "sift"])
+def test_path_sets_equal_the_sets_of_the_cubes(data, tree, churn):
+    translator = FormulaTranslator(tree)
+    manager = translator.manager
+    operand = data.draw(formulas_for(tree))
+    other = data.draw(formulas_for(tree))
+    roots = [
+        translator.bdd(formula)
+        for formula in (
+            operand,
+            Not(operand),
+            Equiv(operand, other),
+            MCS(Equiv(operand, Not(other))),
+            MPS(Not(operand)),
+            MCS(MPS(operand)),
+        )
+    ]
+    for step in ("before", churn):
+        if step == "collect":
+            manager.collect()
+        elif step == "sift":
+            manager.sift_inplace()
+        for root in roots:
+            for value in (True, False):
+                assert path_sets(manager, root, value) == cube_sets(
+                    iter_cubes(manager, root), value
+                )
+
+
+@given(data=st.data(), tree=small_trees(max_basic_events=5))
+@settings(**_SETTINGS)
 def test_algorithm4_follows_the_ref_walk(data, tree):
     translator = FormulaTranslator(tree)
     manager = translator.manager
@@ -144,6 +176,34 @@ def test_algorithm4_follows_the_ref_walk(data, tree):
         name: decided.get(name, vector[name]) for name in tree.basic_events
     }
     assert ref_walk(manager, root, cex.vector)
+
+
+class _Recorder:
+    """A governor that never trips and records every charge."""
+
+    def __init__(self):
+        self.charges = []
+
+    def tick(self, live_nodes=0, weight=1):
+        self.charges.append(weight)
+
+    def check_deadline(self):
+        pass
+
+
+@pytest.mark.parametrize("kind, value", [(MCS, True), (MPS, False)])
+def test_path_sets_charge_the_governor_as_the_cube_walk_does(kind, value):
+    tree = build_covid_tree()
+    translator = FormulaTranslator(tree)
+    manager = translator.manager
+    root = translator.bdd(kind(Atom(tree.top)))
+    cubes, sets = _Recorder(), _Recorder()
+    manager.governor = cubes
+    expected = cube_sets(iter_cubes(manager, root), value)
+    manager.governor = sets
+    assert path_sets(manager, root, value) == expected
+    manager.governor = None
+    assert sets.charges == cubes.charges != []
 
 
 def test_unassigned_variable_is_a_status_vector_error():

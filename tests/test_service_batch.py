@@ -11,7 +11,7 @@ from repro.casestudy import build_covid_tree
 from repro.checker import ModelChecker
 from repro.cli import main
 from repro.errors import SnapshotError
-from repro.ft import figure1_tree
+from repro.ft import example_vot_tree, figure1_tree
 from repro.logic.parser import MAX_DEPTH, MAX_NESTING
 from repro.service import BatchAnalyzer, QuerySpec
 from repro.service.queries import QuerySpecError, specs_from_any
@@ -183,6 +183,22 @@ class TestErrorHandling:
             specs_from_any([{"formula": "A", "wat": 1}])
         with pytest.raises(QuerySpecError):
             QuerySpec(id="x", kind="mcs", failed=("A",), bits=(1,))
+
+    def test_flat_probability_unknown_to_every_scenario_is_rejected(
+        self, covid
+    ):
+        trees = {"covid": covid, "vot": example_vot_tree()}
+        # A flat entry any one scenario uses is accepted ...
+        BatchAnalyzer(trees, probabilities={"H1": 0.1, "a": 0.2})
+        # ... and the ones no scenario uses are named, sorted.
+        with pytest.raises(QuerySpecError) as raised:
+            BatchAnalyzer(
+                trees,
+                probabilities={"ZZ": 0.1, "H1": 0.1, "AA": 0.2, "vot": {}},
+            )
+        assert str(raised.value) == (
+            "probabilities for event(s) unknown to every scenario: AA, ZZ"
+        )
 
     def test_check_many_returns_none_on_error(self, analyzer):
         values = analyzer.check_many(["exists MCS(IWoS)", "bogus ("])

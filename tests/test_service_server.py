@@ -292,6 +292,50 @@ class TestParity:
             assert pool["hits"] >= 1
 
 
+class TestWarmStatsCost:
+    """Per-battery stats are kept counts: a warm battery of every kind,
+    in-process or through ``bfl serve``, runs no mark pass over the
+    kernel (``BDDManager._mark`` is the collector's and
+    ``reachable_node_count``'s O(nodes) walk)."""
+
+    @staticmethod
+    def _count_marks(monkeypatch):
+        from repro.bdd.manager import BDDManager
+
+        calls = []
+        original = BDDManager._mark
+
+        def counting(self, roots):
+            calls.append(self)
+            return original(self, roots)
+
+        monkeypatch.setattr(BDDManager, "_mark", counting)
+        return calls
+
+    def test_warm_batch_run_never_marks(self, covid, monkeypatch):
+        analyzer = BatchAnalyzer(covid, uniform=UNIFORM)
+        cold = analyzer.run(ALL_KINDS)
+        calls = self._count_marks(monkeypatch)
+        warm = analyzer.run(ALL_KINDS)
+        assert calls == []
+        assert normalised(warm.to_dict()["results"]) == normalised(
+            cold.to_dict()["results"]
+        )
+        assert "dead_nodes" not in warm.stats["scenarios"]["default"]["memory"]
+
+    def test_warm_serve_battery_never_marks(self, covid, monkeypatch):
+        battery = {"queries": ALL_KINDS, "uniform": UNIFORM}
+        with running(covid) as harness:
+            status, cold, _ = harness.post("/battery", battery)
+            assert status == 200
+            calls = self._count_marks(monkeypatch)
+            status, warm, _ = harness.post("/battery", battery)
+            assert status == 200
+            assert calls == []
+            assert harness.server.pool.stats()["hits"] >= 1
+        assert normalised(warm["results"]) == normalised(cold["results"])
+
+
 class TestCacheTiers:
     def test_rewarm_round_trip_matches_cold(self, covid, tmp_path):
         store_path = str(tmp_path / "kernels")
@@ -807,6 +851,20 @@ class TestDocsGate:
         doc.write_text(text.replace("| `watchdog_ms` |", "| `watchdog` |"))
         (problem,) = docs_gate.check_options_table()
         assert "AnalysisOptions has" in problem
+
+    def test_memory_keys_table_catches_a_lingering_key(
+        self, tmp_path, monkeypatch
+    ):
+        import docs_gate
+
+        text = docs_gate.DOCS_OPERATIONS.read_text(encoding="utf-8")
+        doc = tmp_path / "operations.md"
+        monkeypatch.setattr(docs_gate, "DOCS_OPERATIONS", doc)
+        row = "    | `free_list` |"
+        assert row in text
+        doc.write_text(text.replace(row, "    | `dead_nodes` | gone |\n" + row))
+        (problem,) = docs_gate.check_memory_keys()
+        assert "'dead_nodes'" in problem
 
 
 class TestBatchPin:
