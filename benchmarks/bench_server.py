@@ -17,7 +17,9 @@ cold/rewarm ratio: a restarted server with a populated store must be at
 least ``BENCH_MIN_WARM_SPEEDUP``x faster than a cold build (CI pins 10).
 A sustained requests/sec figure over a mixed covid battery (warm pool,
 keep-alive connection) turns the ROADMAP's "millions of users" into a
-measured number.
+measured number.  Collector passes and their total pause (through
+``gc.callbacks``) over the rewarm arm and the throughput run are recorded
+as an informational figure, with no gate.
 
 Env:
     BENCH_MIN_WARM_SPEEDUP   cold/rewarm floor (default 1; CI pins 10)
@@ -35,6 +37,7 @@ Direct runs append a machine-readable record to
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import os
@@ -95,6 +98,31 @@ class ServerHandle:
         self.connection.close()
         self.server.request_drain()
         self.thread.join(30)
+
+
+class CollectorPauses:
+    """Counts cyclic-collector passes and sums their pauses while
+    installed (``with CollectorPauses() as pauses: ...``)."""
+
+    def __init__(self):
+        self.passes = 0
+        self.pause_ms = 0.0
+        self._started = None
+
+    def _hook(self, phase, info):
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.passes += 1
+            self.pause_ms += (time.perf_counter() - self._started) * 1000.0
+            self._started = None
+
+    def __enter__(self):
+        gc.callbacks.append(self._hook)
+        return self
+
+    def __exit__(self, *exc):
+        gc.callbacks.remove(self._hook)
 
 
 def normalised_rows(report):
@@ -163,15 +191,16 @@ def main() -> int:
     rewarm_server = ServerHandle(trees, store_path)
     rewarm_ms = []
     rewarm_report = None
-    for attempt in range(repeats):
-        if attempt > 0:
-            # Measure the store path every time: evict the pooled
-            # session so the request has to re-load the snapshot.
-            for key in rewarm_server.server.pool.keys():
-                rewarm_server.server.pool.discard(key)
-        start = time.perf_counter()
-        rewarm_report = rewarm_server.post("/battery", battery)
-        rewarm_ms.append((time.perf_counter() - start) * 1000.0)
+    with CollectorPauses() as rewarm_gc:
+        for attempt in range(repeats):
+            if attempt > 0:
+                # Measure the store path every time: evict the pooled
+                # session so the request has to re-load the snapshot.
+                for key in rewarm_server.server.pool.keys():
+                    rewarm_server.server.pool.discard(key)
+            start = time.perf_counter()
+            rewarm_report = rewarm_server.post("/battery", battery)
+            rewarm_ms.append((time.perf_counter() - start) * 1000.0)
     rewarm_ms = sorted(rewarm_ms)[len(rewarm_ms) // 2]
     rewarms = rewarm_server.server._counters["rewarms"]
 
@@ -193,10 +222,11 @@ def main() -> int:
         "uniform": UNIFORM,
     }
     rewarm_server.post("/battery", mixed)  # build the covid session
-    start = time.perf_counter()
-    for _ in range(rps_requests):
-        rewarm_server.post("/battery", mixed)
-    rps_elapsed = time.perf_counter() - start
+    with CollectorPauses() as sustained_gc:
+        start = time.perf_counter()
+        for _ in range(rps_requests):
+            rewarm_server.post("/battery", mixed)
+        rps_elapsed = time.perf_counter() - start
     rps = rps_requests / rps_elapsed
     qps = rps * len(mixed["queries"])
     rewarm_server.stop()
@@ -215,6 +245,11 @@ def main() -> int:
         f"  sustained: {rps:7.1f} requests/sec "
         f"({qps:.1f} queries/sec, {rps_requests} keep-alive requests)"
     )
+    print(
+        f"  collector: rewarm {rewarm_gc.passes} passes "
+        f"{rewarm_gc.pause_ms:.1f} ms, sustained {sustained_gc.passes} "
+        f"passes {sustained_gc.pause_ms:.1f} ms (informational)"
+    )
     print(f"  agreement across tiers: {'OK' if agree else 'MISMATCH'}")
 
     record_run(
@@ -229,6 +264,10 @@ def main() -> int:
             "requests_per_sec": round(rps, 1),
             "queries_per_sec": round(qps, 1),
             "rps_requests": rps_requests,
+            "gc_rewarm_passes": rewarm_gc.passes,
+            "gc_rewarm_pause_ms": round(rewarm_gc.pause_ms, 2),
+            "gc_sustained_passes": sustained_gc.passes,
+            "gc_sustained_pause_ms": round(sustained_gc.pause_ms, 2),
             "floor": floor,
             "agreement": agree,
             "gated": floor > 1,

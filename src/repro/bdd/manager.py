@@ -363,18 +363,21 @@ class _OpCache:
     insert pressure doubles the capacity up to ``_CACHE_MAX_BITS``
     (``cache_resizes``); growth drops the contents rather than rehash —
     slots are derived from the caller's unmasked hash, and the table is
-    lossy anyway.  :meth:`clear` keeps the learned capacity.
+    lossy anyway.
+
+    ``size`` is the capacity; the slots are allocated by the first
+    :meth:`put`.  Until then ``keys`` is the one slot ``[None]`` with
+    ``mask`` 0, so lookups stay branch-free and always miss, and a
+    kernel that never computes (a rewarmed snapshot answering from its
+    nodes) holds no slots for the cyclic collector to walk.  Growth and
+    :meth:`clear` return to that state, keeping the learned capacity.
     """
 
-    __slots__ = ("keys", "vals", "mask", "occupied", "inserts")
+    __slots__ = ("keys", "vals", "mask", "size", "occupied", "inserts")
 
     def __init__(self, bits: int = _CACHE_MIN_BITS) -> None:
-        size = 1 << bits
-        self.keys: List[Optional[int]] = [None] * size
-        self.vals: List[int] = [0] * size
-        self.mask = size - 1
-        self.occupied = 0
-        self.inserts = 0
+        self.size = 1 << bits
+        self.clear()
 
     def __len__(self) -> int:
         return self.occupied
@@ -383,6 +386,10 @@ class _OpCache:
         self, stats: OperationCacheStats, h: int, key: int, value: int
     ) -> None:
         """Store ``key -> value`` at the slot of unmasked hash ``h``."""
+        if not self.mask:
+            self.keys = [None] * self.size
+            self.vals = [0] * self.size
+            self.mask = self.size - 1
         self.inserts += 1
         keys = self.keys
         slot = h & self.mask
@@ -393,19 +400,15 @@ class _OpCache:
             stats.cache_evictions += 1
         keys[slot] = key
         self.vals[slot] = value
-        if self.inserts > len(keys) and len(keys) < (1 << _CACHE_MAX_BITS):
-            size = len(keys) * 2
-            self.keys = [None] * size
-            self.vals = [0] * size
-            self.mask = size - 1
-            self.occupied = 0
-            self.inserts = 0
+        if self.inserts > self.size and self.size < (1 << _CACHE_MAX_BITS):
+            self.size *= 2
+            self.clear()
             stats.cache_resizes += 1
 
     def clear(self) -> None:
-        size = len(self.keys)
-        self.keys = [None] * size
-        self.vals = [0] * size
+        self.keys: List[Optional[int]] = [None]
+        self.vals: List[int] = [0]
+        self.mask = 0
         self.occupied = 0
         self.inserts = 0
 
@@ -1893,11 +1896,11 @@ class BDDManager:
         data["unique_capacity"] = len(self._ut_slots)
         data["ut_max_probe"] = self._ut_max_probe
         data["cache_capacity"] = (
-            len(self._apply_cache.keys)
-            + len(self._ite_cache.keys)
-            + len(self._restrict_cache.keys)
-            + len(self._compose_cache.keys)
-            + len(self._exists_cache.keys)
+            self._apply_cache.size
+            + self._ite_cache.size
+            + self._restrict_cache.size
+            + self._compose_cache.size
+            + self._exists_cache.size
         )
         data["live_nodes"] = self.node_count()
         data["peak_live_nodes"] = self._peak_nodes

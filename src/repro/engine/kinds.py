@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..bdd.allsat import path_sets
 from ..bdd.quantify import is_satisfiable, is_tautology
 from ..errors import LogicError, QuerySpecError, ReproError, error_kind
 from ..logic.ast_nodes import (
@@ -158,15 +159,15 @@ def _execute_check(session, spec, statement) -> ResultFields:
 
 
 def _execute_satisfaction_set(session, spec, statement) -> ResultFields:
-    satset = session.checker.satisfaction_set(statement)
+    # The row reads a count, a truth value and one set view, so it needs
+    # no cube per 1-path (ModelChecker.satisfaction_set builds those).
+    checker = session.checker
+    manager = checker.manager
+    u = checker.translator.bdd(checker._formula(statement))
     return {
-        "vector_count": len(satset),
-        "holds": bool(satset),
-        "sets": _sets_view(
-            satset.operational_sets()
-            if spec.view == "operational"
-            else satset.failed_sets()
-        ),
+        "vector_count": manager.sat_count(u, checker.tree.basic_events),
+        "holds": u is not manager.false,
+        "sets": _sets_view(path_sets(manager, u, spec.view != "operational")),
     }
 
 

@@ -22,6 +22,8 @@ from repro.logic import (
     ReferenceSemantics,
 )
 from repro.checker import FormulaTranslator, ModelChecker, check, satisfying_vectors
+from repro.service import BatchAnalyzer
+from repro.service.queries import QuerySpec, sets_view
 
 from bfl_strategies import formulas_for, small_trees, vectors_for
 
@@ -82,6 +84,23 @@ def test_satisfaction_set_counts_agree(data, tree, scope):
     assert bool(satset) == bool(ref_vectors)
     assert {tuple(sorted(v.items())) for v in satset.vectors} == ref_vectors
     assert len(satset.vectors) == len(satset)
+
+
+@given(data=st.data(), tree=small_trees(max_basic_events=4))
+@settings(**_SETTINGS)
+@pytest.mark.parametrize("view", ["failed", "operational"])
+def test_satisfaction_set_row_agrees_with_cubes(data, tree, view):
+    """The ``satisfaction-set`` row answers from ``sat_count`` and
+    ``path_sets``; the cube route of ``ModelChecker.satisfaction_set``
+    is its reference."""
+    formula = data.draw(formulas_for(tree))
+    satset = ModelChecker(tree).satisfaction_set(formula)
+    spec = QuerySpec(id="q", kind="satisfaction-set", formula=formula, view=view)
+    (row,) = BatchAnalyzer(tree).run([spec]).to_dict()["results"]
+    sets = satset.failed_sets() if view == "failed" else satset.operational_sets()
+    assert row["vector_count"] == len(satset)
+    assert row["holds"] is bool(satset)
+    assert row["sets"] == [list(s) for s in sets_view(sets)]
 
 
 @given(data=st.data(), tree=small_trees(max_basic_events=4))
