@@ -19,7 +19,10 @@ A sustained requests/sec figure over a mixed covid battery (warm pool,
 keep-alive connection) turns the ROADMAP's "millions of users" into a
 measured number.  Collector passes and their total pause (through
 ``gc.callbacks``) over the rewarm arm and the throughput run are recorded
-as an informational figure, with no gate.
+as an informational figure, with no gate, and so are the rewarm arm's
+median ``BDDManager.load_snapshot`` time and the number of handles each
+rewarmed kernel holds interned after its battery (kernel-level figures
+for the rewarm path, outside the HTTP round trip).
 
 Env:
     BENCH_MIN_WARM_SPEEDUP   cold/rewarm floor (default 1; CI pins 10)
@@ -48,6 +51,7 @@ import time
 
 from bench_json import record_run
 
+from repro.bdd import BDDManager
 from repro.casestudy import build_covid_tree
 from repro.ft.random_trees import RandomTreeConfig, random_tree
 from repro.service import AnalysisServer, ServerConfig
@@ -125,6 +129,42 @@ class CollectorPauses:
         gc.callbacks.remove(self._hook)
 
 
+class SnapshotLoads:
+    """Times every ``BDDManager.load_snapshot`` while installed and
+    keeps the manager of the latest one (``with SnapshotLoads() as
+    loads: ...``); :meth:`handles` counts that kernel's live interned
+    handles."""
+
+    def __init__(self):
+        self.load_us = []
+        self.latest = None
+        self._saved = BDDManager.__dict__["load_snapshot"]
+
+    def _timed(self, cls, data):
+        start = time.perf_counter()
+        manager, roots = self._saved.__func__(cls, data)
+        self.load_us.append((time.perf_counter() - start) * 1e6)
+        self.latest = manager
+        return manager, roots
+
+    def handles(self):
+        return sum(
+            entry() is not None for entry in self.latest._refs.values()
+        )
+
+    def __enter__(self):
+        BDDManager.load_snapshot = classmethod(self._timed)
+        return self
+
+    def __exit__(self, *exc):
+        BDDManager.load_snapshot = self._saved
+        self.latest = None
+
+
+def median(values):
+    return sorted(values)[len(values) // 2]
+
+
 def normalised_rows(report):
     """Result rows with timings zeroed (agreement comparisons)."""
     return [
@@ -190,8 +230,9 @@ def main() -> int:
     # --- rewarm: a NEW server over the populated store ---------------
     rewarm_server = ServerHandle(trees, store_path)
     rewarm_ms = []
+    rewarm_handles = []
     rewarm_report = None
-    with CollectorPauses() as rewarm_gc:
+    with CollectorPauses() as rewarm_gc, SnapshotLoads() as loads:
         for attempt in range(repeats):
             if attempt > 0:
                 # Measure the store path every time: evict the pooled
@@ -201,7 +242,10 @@ def main() -> int:
             start = time.perf_counter()
             rewarm_report = rewarm_server.post("/battery", battery)
             rewarm_ms.append((time.perf_counter() - start) * 1000.0)
-    rewarm_ms = sorted(rewarm_ms)[len(rewarm_ms) // 2]
+            rewarm_handles.append(loads.handles())
+        load_us = median(loads.load_us)
+    rewarm_ms = median(rewarm_ms)
+    rewarm_handles = median(rewarm_handles)
     rewarms = rewarm_server.server._counters["rewarms"]
 
     # --- agreement: all three arms answer identically ----------------
@@ -242,6 +286,10 @@ def main() -> int:
     print(f"  cold / rewarm: {cold_over_rewarm:6.1f}x  (floor {floor:g}x)")
     print(f"  store rewarms observed: {rewarms}")
     print(
+        f"  rewarm kernel: load_snapshot {load_us:.0f} us, "
+        f"{rewarm_handles} handles interned (informational)"
+    )
+    print(
         f"  sustained: {rps:7.1f} requests/sec "
         f"({qps:.1f} queries/sec, {rps_requests} keep-alive requests)"
     )
@@ -266,6 +314,8 @@ def main() -> int:
             "rps_requests": rps_requests,
             "gc_rewarm_passes": rewarm_gc.passes,
             "gc_rewarm_pause_ms": round(rewarm_gc.pause_ms, 2),
+            "rewarm_load_snapshot_us": round(load_us, 1),
+            "rewarm_handles": rewarm_handles,
             "gc_sustained_passes": sustained_gc.passes,
             "gc_sustained_pause_ms": round(sustained_gc.pause_ms, 2),
             "floor": floor,

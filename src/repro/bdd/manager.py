@@ -135,6 +135,12 @@ _H2 = 0x85EBCA6B
 #: Unique-table sizing: power-of-two capacity, load factor kept <= 0.5.
 _UT_MIN_CAPACITY = 1 << 10
 
+
+def _ut_capacity(live: int) -> int:
+    """Unique-table capacity for ``live`` nodes (load <= 1/2)."""
+    return max(_UT_MIN_CAPACITY, 1 << (2 * live).bit_length())
+
+
 #: Computed-table sizing (per op cache): direct-mapped and lossy, so a
 #: full table evicts rather than grows — but while a cache keeps
 #: missing, capacity doubles up to the max (CUDD's "reward" policy,
@@ -448,6 +454,9 @@ class BDDManager:
         self._ut_mask = _UT_MIN_CAPACITY - 1
         self._ut_count = 0
         self._ut_max_probe = 0
+        # Set by a snapshot load, which leaves the slots for the first
+        # missing _mk or slot-editing pass (reorder, collect) to build.
+        self._ut_unbuilt = False
         # Computed tables (lossy, direct-mapped, packed int keys).  Kept
         # per-operation so clearing one kind of cache (e.g. after
         # reordering) does not touch the others.
@@ -485,13 +494,12 @@ class BDDManager:
         self._prob_lw: Dict[int, float] = {}
         # Ref interning: one Ref object per live edge, so identity
         # comparison (`u is manager.false`) works across the public API.
-        # The interning is *weak* — when user code drops the last handle
-        # for an edge the Ref dies, its entry leaves this table, and the
-        # node becomes eligible for collect().  The table's keys are the
-        # collector's external roots.
-        self._refs: "weakref.WeakValueDictionary[int, Ref]" = (
-            weakref.WeakValueDictionary()
-        )
+        # The interning is *weak* and callback-free (edge -> weakref.ref):
+        # when user code drops the last handle its entry goes stale, and
+        # _live_edges sweeps stale entries to yield the collector's roots.
+        self._refs: Dict[int, "weakref.ref[Ref]"] = {}
+        #: _wrap sweeps at this size: twice what the last sweep kept.
+        self._refs_limit = 4
         #: Reclaimed node indices available for reuse by ``_mk``.
         self._free: List[int] = []
         self.true = self._wrap(_TRUE)
@@ -523,8 +531,7 @@ class BDDManager:
         self._governor = None
         self._gov_countdown = 1
         self._gov_stride = _GOV_STRIDE
-        for name in variables:
-            self.declare(name)
+        self.declare(*variables)
 
     # ------------------------------------------------------------------
     # Handle plumbing
@@ -536,11 +543,23 @@ class BDDManager:
         The interning entry pins the underlying node for the garbage
         collector for as long as the handle lives.
         """
-        ref = self._refs.get(edge)
-        if ref is None:
+        entry = self._refs.get(edge)
+        ref = entry() if entry is not None else None
+        if ref is None:  # no entry, or a stale one to overwrite
+            if len(self._refs) >= self._refs_limit:
+                self._live_edges()
             ref = Ref(self, edge)
-            self._refs[edge] = ref
+            self._refs[edge] = weakref.ref(ref)
         return ref
+
+    def _live_edges(self) -> Dict[int, "weakref.ref[Ref]"]:
+        """Drop interning entries whose Ref died; the rest, keyed by the
+        edges of the live handles (the collector's external roots)."""
+        refs = {edge: entry for edge, entry in self._refs.items()
+                if entry() is not None}
+        self._refs = refs
+        self._refs_limit = 2 * len(refs)
+        return refs
 
     def _unwrap(self, ref: Ref) -> int:
         """Edge of ``ref``, verifying ownership."""
@@ -615,6 +634,9 @@ class BDDManager:
     # (growth doubles).  Deletion backward-shifts the cluster (Knuth
     # 6.4 R) so the table never accumulates tombstones; GC does a full
     # tombstone-free rebuild sized to the surviving population instead.
+    # After a snapshot load that rebuild waits for first use
+    # (``_ut_unbuilt``): the first missing ``_mk``, reordering,
+    # ``check_invariants`` or a reclaiming ``collect``.
 
     def _ut_find(self, level: int, low: int, high: int) -> int:
         """Index of the node with this key, or a negative value on miss
@@ -708,15 +730,14 @@ class BDDManager:
 
     def _ut_rebuild(self) -> None:
         """Tombstone-free rebuild from the live store, sized to the
-        surviving population (used by :meth:`collect` and snapshot
-        adoption).  With numpy available the per-node home slots are
-        precomputed in one vectorised pass over the array buffers."""
+        surviving population (used by :meth:`collect` and the first
+        build after a snapshot load).  With numpy available the per-node
+        home slots are precomputed in one vectorised pass over the array
+        buffers."""
         level = self._level
         nslots = len(level)
         live = nslots - len(self._free) - 1
-        capacity = _UT_MIN_CAPACITY
-        while capacity <= 2 * live:
-            capacity <<= 1
+        capacity = _ut_capacity(live)
         slots = array("q", [-1]) * capacity
         mask = capacity - 1
         np_mod = _nputil.np
@@ -752,6 +773,7 @@ class BDDManager:
         self._ut_mask = mask
         self._ut_count = live
         self._ut_max_probe = max_probe
+        self._ut_unbuilt = False
         self.op_stats.ut_collisions += collisions
         self.op_stats.ut_resizes += 1
 
@@ -851,6 +873,12 @@ class BDDManager:
             high ^= 1
         index = self._ut_find(level, low, high)
         if index < 0:
+            if self._ut_unbuilt:
+                # First miss after a snapshot load: build, look again.
+                self._ut_rebuild()
+                index = self._ut_find(level, low, high)
+                if index >= 0:
+                    return (index << 1) | c
             # Governed safe point *before* any mutation, on the
             # allocation path only: node budgets move exactly when
             # nodes are allocated, and long-running apply recursions
@@ -1822,6 +1850,8 @@ class BDDManager:
         Used by the property-test suite; cheap enough to call in
         debugging sessions (O(nodes)).
         """
+        if self._ut_unbuilt:
+            self._ut_rebuild()
         holes = 0
         for index in range(1, len(self._level)):
             level = self._level[index]
@@ -1863,8 +1893,11 @@ class BDDManager:
         assert len(self._ut_slots) >= 2 * self._ut_count, (
             "unique table over its load factor"
         )
-        for edge, ref in list(self._refs.items()):
-            assert ref.edge == edge, "interning table maps an edge to a foreign Ref"
+        for edge, entry in self._live_edges().items():
+            ref = entry()
+            assert ref is None or ref.edge == edge, (
+                "interning table maps an edge to a foreign Ref"
+            )
             index = edge >> 1
             assert index == 0 or self._level[index] != _FREE_LEVEL, (
                 f"live Ref points at the freed slot {index}"
@@ -1893,7 +1926,10 @@ class BDDManager:
         )
         data["prob_profiles"] = len(self._prob_caches)
         data["unique_table_size"] = self._ut_count
-        data["unique_capacity"] = len(self._ut_slots)
+        data["unique_capacity"] = (  # as the first build will size it
+            _ut_capacity(self._ut_count)
+            if self._ut_unbuilt else len(self._ut_slots)
+        )
         data["ut_max_probe"] = self._ut_max_probe
         data["cache_capacity"] = (
             self._apply_cache.size
@@ -2127,12 +2163,17 @@ class BDDManager:
         ):
             # Bulk adoption: every invariant vectorised-verified above,
             # so the three buffers append onto the node arrays in one
-            # memcpy each and the unique table rebuilds tombstone-free.
+            # memcpy each.  The unique table waits for its first use
+            # (``_ut_unbuilt``); answers read off the adopted roots never
+            # probe it.
             manager._level.extend(levels)
             manager._low.extend(lows)
             manager._high.extend(highs)
             manager._peak_nodes = len(levels) + 1
-            manager._ut_rebuild()
+            manager._ut_slots = array("q", [-1])
+            manager._ut_mask = 0
+            manager._ut_count = len(levels)
+            manager._ut_unbuilt = True
         else:
             # Pure-Python path (and the precise-diagnosis path when the
             # vectorised validator saw anything suspect): node-by-node
@@ -2172,6 +2213,8 @@ class BDDManager:
                 slot = manager._alloc_slot(lv, lo, hi)
                 manager._ut_insert(lv, lo, hi, slot)
         roots: Dict[str, Ref] = {}
+        # Every root stays live in ``roots``: no sweep while interning.
+        manager._refs_limit = 2 * (len(raw_roots) + len(manager._refs))
         for name, edge in raw_roots.items():
             # bool is an int subclass; a root carrying `true` where an
             # edge belongs is corrupt, not convertible.
@@ -2260,11 +2303,9 @@ class BDDManager:
     def _mark_external(self) -> Tuple[bytearray, int]:
         """:meth:`_mark` from every node with a live external Ref.
 
-        Roots are the keys of the interning table.  A key whose Ref died
-        with its removal still pending only keeps its node alive one
-        collection longer, never frees a live one.
+        Roots are the edges of the live interned handles.
         """
-        return self._mark([edge >> 1 for edge in self._refs.keys()])
+        return self._mark([edge >> 1 for edge in self._live_edges()])
 
     def reachable_node_count(self) -> int:
         """Stored nodes reachable from live external Refs (terminal
@@ -2403,9 +2444,11 @@ class BDDManager:
         session (O(nodes) to build, maintained incrementally across
         swaps).  Each live Ref counts as one more parent of its node, so
         a node is dead exactly when its count reaches zero."""
+        if self._ut_unbuilt:  # swaps edit the slots directly
+            self._ut_rebuild()
         nslots = len(self._level)
         parents = [0] * nslots
-        for edge in self._refs.keys():
+        for edge in self._live_edges():
             parents[edge >> 1] += 1
         members: Dict[int, Set[int]] = {}
         level, low, high = self._level, self._low, self._high

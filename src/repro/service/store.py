@@ -30,6 +30,7 @@ existing degrade-to-cold machinery.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -39,14 +40,10 @@ from ..errors import SnapshotError
 __all__ = ["SnapshotStore"]
 
 
-def _is_fingerprint(text: str) -> bool:
-    """True for a plausible sha256 hex digest (the only keys we accept —
-    they double as file names, so anything else would be a path-traversal
-    hazard)."""
-    return (
-        len(text) == 64
-        and all(ch in "0123456789abcdef" for ch in text)
-    )
+#: Truthy for a plausible sha256 hex digest (the only keys we accept —
+#: they double as file names, so anything else would be a path-traversal
+#: hazard).
+_is_fingerprint = re.compile(r"[0-9a-f]{64}").fullmatch
 
 
 class SnapshotStore:

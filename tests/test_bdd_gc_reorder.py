@@ -5,8 +5,9 @@ Pins the contract of the memory-managed kernel:
 * ``collect()`` reclaims exactly the nodes unreachable from live Refs,
   leaves the unique and interning tables consistent with holes in the
   index space, and ``live_nodes`` matches the reachable count afterwards;
-* interning a handle registers no per-Ref finalizer: the interning table
-  is the only record of which nodes user code holds;
+* interning a handle registers no per-Ref finalizer and no weakref
+  callback: the interning table is the only record of which nodes user
+  code holds, and it stays within twice its live handles;
 * reclaimed indices are reused by ``_mk`` without breaking canonicity;
 * ``swap``/``sift_inplace`` preserve function semantics — every
   pre-existing Ref keeps denoting the same Boolean function — verified
@@ -160,6 +161,77 @@ class TestCollect:
         assert m.cache_stats()["live_nodes"] == m.reachable_node_count()
         for e, table in zip(kept, tables):
             assert _truth_table(m, e, names) == table
+
+
+class TestInterning:
+    """Handles are interned through callback-free weak references: a
+    dead handle leaves a stale entry that the next wrap of its edge
+    overwrites, or a sweep drops."""
+
+    def test_stale_entry_is_overwritten_and_identity_kept(self):
+        m = BDDManager(["a", "b"])
+        f = m.and_(m.var("a"), m.var("b"))
+        edge = f.edge
+        del f
+        assert m._refs[edge]() is None
+        g = m.and_(m.var("a"), m.var("b"))
+        assert g.edge == edge and m._refs[edge]() is g
+        assert m.and_(m.var("b"), m.var("a")) is g
+        assert m.negate(m.negate(g)) is g
+        assert m.constant(True) is m.true and m.negate(m.true) is m.false
+        m.check_invariants()
+
+    def test_dropped_handle_node_is_reclaimed(self):
+        m = BDDManager(["a", "b", "c"])
+        keep = m.var("a")
+        f = m.and_(m.var("b"), m.var("c"))
+        index = f.index
+        del f
+        assert m.collect() > 0
+        assert m._level[index] == -1
+        assert m.reachable_node_count() == m.node_count()
+        assert m.evaluate(keep, {"a": True}) is True
+        m.check_invariants()
+
+    def test_table_stays_bounded_with_gc_off(self):
+        names = [f"v{i}" for i in range(12)]
+        m = BDDManager(names)
+        held = [m.var(name) for name in names]
+        m.threshold(held, 6)  # a few hundred nodes, handle dropped
+        edges = [
+            (index << 1) | c
+            for index in range(1, len(m._level))
+            for c in (0, 1)
+        ]
+        live = len(held) + 2  # plus m.true and m.false
+        largest = 0
+        pygc.disable()
+        try:
+            for i in range(100_000):
+                m._wrap(edges[i % len(edges)])
+                largest = max(largest, len(m._refs))
+        finally:
+            pygc.enable()
+        assert sum(e() is not None for e in m._refs.values()) == live
+        assert largest <= 2 * live
+        m.check_invariants()
+
+    def test_rewarm_creates_no_keyed_refs(self):
+        def keyed_refs():
+            return sum(
+                isinstance(o, weakref.KeyedRef) for o in pygc.get_objects()
+            )
+
+        tree = build_covid_tree()
+        cold = BatchAnalyzer(tree, uniform=0.01)
+        cold.run(["exists IWoS"])
+        snapshots = cold.kernel_snapshots()
+        pygc.collect()
+        before = keyed_refs()
+        warm = BatchAnalyzer(tree, uniform=0.01, snapshots=snapshots)
+        report = warm.run(["exists IWoS", "P(IWoS) >= 0"])
+        assert report.ok and len(warm.session("default").checker.manager._refs) > 2
+        assert keyed_refs() <= before
 
 
 class TestSwap:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ft import figure1_tree
+from repro.errors import SnapshotError
 from repro.service import AnalysisSession, SnapshotStore, kernel_key
 from repro.service.pool import SessionPool, build_session
 from repro.testing.chaos import corrupt_store_entry
@@ -176,3 +177,23 @@ class TestPersistAll:
         # A second drain finds nothing left to write.
         assert pool.persist_all() == 0
         assert puts(store) == before + 2
+
+
+class TestStoreKeys:
+    """Only a lowercase sha256 hex digest names an entry: keys double as
+    file names, so anything else could reach outside the directory."""
+
+    @pytest.mark.parametrize("key", [
+        "A" * 64, "a" * 63, "a" * 65, "a" * 64 + "\n", "../" + "a" * 61,
+        "٠" * 64, "g" * 64, "",
+    ])
+    def test_other_keys_are_refused(self, store, key):
+        with pytest.raises(SnapshotError, match="not a kernel key"):
+            store.entry_path(key)
+
+    def test_digest_names_its_entry_file(self, store, covid):
+        key = kernel_key(covid)
+        assert store.entry_path(key).name == f"{key}.snap"
+        assert key not in store
+        seed(store, covid)
+        assert key in store and store.fingerprints() == [key]
