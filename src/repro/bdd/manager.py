@@ -833,22 +833,6 @@ class BDDManager:
                 self._governed_abort()
                 raise
 
-    def _governed_mk_point(self) -> None:
-        """The strided `_mk` safe point: full check, stride credit.
-
-        With a node budget the stride is 1 (overshoot at most one
-        node); otherwise deadline overshoot is bounded by one stride of
-        allocations — well under a millisecond of extra work."""
-        stride = self._gov_stride
-        self._gov_countdown = stride
-        try:
-            self._governor.tick(
-                len(self._level) - len(self._free), stride
-            )
-        except ExecutionError:
-            self._governed_abort()
-            raise
-
     # ------------------------------------------------------------------
     # Node construction
     # ------------------------------------------------------------------
@@ -861,6 +845,10 @@ class BDDManager:
         complement-edge canonical form: a complemented high edge is pushed
         onto both children, and the complement bit returns on the handle.
 
+        Find, allocate and insert run in this one frame: the missed
+        find's probe distance is the insert's collision count, and the
+        table grows before the slot is allocated.
+
         Raises:
             VariableError: If the node would violate the variable order.
         """
@@ -871,60 +859,62 @@ class BDDManager:
             # Canonical form: stored high edges are regular.
             low ^= 1
             high ^= 1
-        index = self._ut_find(level, low, high)
-        if index < 0:
-            if self._ut_unbuilt:
-                # First miss after a snapshot load: build, look again.
-                self._ut_rebuild()
-                index = self._ut_find(level, low, high)
-                if index >= 0:
-                    return (index << 1) | c
-            # Governed safe point *before* any mutation, on the
-            # allocation path only: node budgets move exactly when
-            # nodes are allocated, and long-running apply recursions
-            # allocate steadily, so deadline coverage rides along.
-            # Cache-hit constructions pay one `is not None` branch.
-            # A budget trip here leaves the store as the caller found
-            # it.  Full checks are strided (every _GOV_STRIDE
-            # allocations), bounding overshoot by one stride.
-            if self._governor is not None:
-                countdown = self._gov_countdown - 1
-                self._gov_countdown = countdown
-                if countdown <= 0:
-                    self._governed_mk_point()
-            if (
-                level >= self._level[low >> 1]
-                or level >= self._level[high >> 1]
-            ):
-                raise VariableError(
-                    f"node at level {level} must precede its children "
-                    f"(levels {self._level[low >> 1]}, "
-                    f"{self._level[high >> 1]})"
-                )
-            index = self._alloc_slot(level, low, high)
-            self._ut_insert(level, low, high, index)
-        return (index << 1) | c
-
-    def _alloc_slot(self, level: int, low: int, high: int) -> int:
-        """Allocate one node slot, refilling a hole reclaimed by
-        :meth:`collect` before growing the parallel arrays (indices are
-        no longer append-only).  Maintains the peak-live accounting;
-        unique-table insertion is the caller's job."""
+        slots, mask = self._ut_slots, self._ut_mask
+        lv_a, lo_a, hi_a = self._level, self._low, self._high
+        home = slot = (level * _H1 + low * _H2 + high) & mask
+        index = slots[slot]
+        while index >= 0:
+            if lv_a[index] == level and lo_a[index] == low and hi_a[index] == high:
+                return (index << 1) | c
+            slot = (slot + 1) & mask
+            index = slots[slot]
+        if self._ut_unbuilt:
+            # First miss after a snapshot load: build, look again.
+            self._ut_rebuild()
+            return self._mk(level, low, high) | c
+        # Governed safe point before any mutation, on the allocation
+        # path only (node budgets move exactly when nodes are allocated);
+        # full checks every _GOV_STRIDE allocations, 1 under a budget.
+        if self._governor is not None:
+            countdown = self._gov_countdown - 1
+            self._gov_countdown = countdown
+            if countdown <= 0:
+                self._gov_countdown = stride = self._gov_stride
+                self._governed_point(len(lv_a) - len(self._free), stride)
+        if level >= lv_a[low >> 1] or level >= lv_a[high >> 1]:
+            raise VariableError(
+                f"node at level {level} must precede its children "
+                f"(levels {lv_a[low >> 1]}, {lv_a[high >> 1]})"
+            )
+        count = self._ut_count + 1
+        if count * 2 > mask + 1:
+            self._ut_grow()
+            slots, mask = self._ut_slots, self._ut_mask
+            home = (level * _H1 + low * _H2 + high) & mask
+            slot = -self._ut_find(level, low, high) - 1
         free = self._free
         if free:
             index = free.pop()
-            self._level[index] = level
-            self._low[index] = low
-            self._high[index] = high
+            lv_a[index] = level
+            lo_a[index] = low
+            hi_a[index] = high
+            live = len(lv_a) - len(free)
         else:
-            index = len(self._level)
-            self._level.append(level)
-            self._low.append(low)
-            self._high.append(high)
-        live = len(self._level) - len(free)
+            index = live = len(lv_a)
+            lv_a.append(level)
+            lo_a.append(low)
+            hi_a.append(high)
+            live += 1
+        slots[slot] = index
+        self._ut_count = count
+        probe = (slot - home) & mask
+        if probe:
+            self.op_stats.ut_collisions += probe
+            if probe > self._ut_max_probe:
+                self._ut_max_probe = probe
         if live > self._peak_nodes:
             self._peak_nodes = live
-        return index
+        return (index << 1) | c
 
     def mk(self, level: int, low: Ref, high: Ref) -> Ref:
         """Public ``mk``: unique reduced node over :class:`Ref` handles."""
@@ -1852,6 +1842,7 @@ class BDDManager:
         """
         if self._ut_unbuilt:
             self._ut_rebuild()
+        assert len(self._level) == len(self._low) == len(self._high), "node columns differ in length"
         holes = 0
         for index in range(1, len(self._level)):
             level = self._level[index]
@@ -2205,13 +2196,9 @@ class BDDManager:
                         f"node {index}: level {lv} does not precede its "
                         "children"
                     )
-                prior = manager._ut_find(lv, lo, hi)
-                if prior >= 0:
-                    raise SnapshotError(
-                        f"node {index}: duplicates node {prior}"
-                    )
-                slot = manager._alloc_slot(lv, lo, hi)
-                manager._ut_insert(lv, lo, hi, slot)
+                prior = manager._mk(lv, lo, hi) >> 1
+                if prior != index:
+                    raise SnapshotError(f"node {index}: duplicates node {prior}")
         roots: Dict[str, Ref] = {}
         # Every root stays live in ``roots``: no sweep while interning.
         manager._refs_limit = 2 * (len(raw_roots) + len(manager._refs))
@@ -2464,8 +2451,21 @@ class BDDManager:
     def _swap_alloc(
         self, level: int, low: int, high: int, parents: List[int]
     ) -> int:
-        """Allocate a node slot during a swap, maintaining parent counts."""
-        index = self._alloc_slot(level, low, high)
+        """Allocate a node slot during a swap (a hole reclaimed by
+        :meth:`collect` first), maintaining peak-live and parent counts;
+        unique-table insertion is the caller's job."""
+        free = self._free
+        if free:
+            index = free.pop()
+            self._level[index] = level
+            self._low[index] = low
+            self._high[index] = high
+        else:
+            index = len(self._level)
+            self._level.append(level)
+            self._low.append(low)
+            self._high.append(high)
+        self._peak_nodes = max(self._peak_nodes, len(self._level) - len(free))
         if index >= len(parents):
             parents.extend([0] * (index + 1 - len(parents)))
         parents[index] = 0

@@ -26,7 +26,7 @@ not; the test suite pins the identity.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import Dict, FrozenSet, Sequence
 
 from ..errors import VariableError
 from .manager import _FALSE, _TRUE, BDDManager
@@ -180,25 +180,38 @@ def _closure_e(
     ignores ``y`` ignores ``y``), so the result depends on the edge alone
     and is memoised per edge.  For a function monotone in the scope the
     up-closure is the function itself.
+
+    Runs on an explicit stack, the top frame revisited until both
+    children are memoised, so nodes are made in the recursive order.
     """
-    if edge <= _FALSE:
-        return edge
-    cached = memo.get(edge)
-    if cached is not None:
-        return cached
-    index = edge >> 1
-    c = edge & 1
-    top = manager._level[index]
-    c0 = _closure_e(manager, manager._low[index] ^ c, scope, down, memo)
-    c1 = _closure_e(manager, manager._high[index] ^ c, scope, down, memo)
-    if top in scope:
-        if down:
-            c0 = manager._or_e(c0, c1)
-        else:
-            c1 = manager._or_e(c0, c1)
-    result = manager._mk(top, c0, c1)
-    memo[edge] = result
-    return result
+    level, low, high = manager._level, manager._low, manager._high
+    stack = [edge]
+    while stack:
+        e = stack[-1]
+        if e <= _FALSE or e in memo:
+            stack.pop()
+            continue
+        index = e >> 1
+        c = e & 1
+        e0 = low[index] ^ c
+        if e0 > _FALSE and e0 not in memo:
+            stack.append(e0)
+            continue
+        e1 = high[index] ^ c
+        if e1 > _FALSE and e1 not in memo:
+            stack.append(e1)
+            continue
+        stack.pop()
+        c0 = memo.get(e0, e0)
+        c1 = memo.get(e1, e1)
+        top = level[index]
+        if top in scope:
+            if down:
+                c0 = manager._or_e(c0, c1)
+            else:
+                c1 = manager._or_e(c0, c1)
+        memo[e] = manager._mk(top, c0, c1)
+    return memo.get(edge, edge)
 
 
 def _extreme(
@@ -221,6 +234,10 @@ def _extreme(
     by a chain of fresh nodes above the recursive core; scope variables
     outside the sub-call's window (``levels[k:]``) belong to an
     ancestor.  Memoised on ``(edge, k)``.
+
+    Runs on an explicit stack like :func:`_closure_e`, so nodes are made
+    in the recursive order (``min(u0)``, ``min(u1)``, closure,
+    conjunction, node, pins); a frame is the int ``edge * span + k``.
     """
     if not scope:
         return u
@@ -229,51 +246,66 @@ def _extreme(
     levels = sorted({manager.level_of(name) for name in scope})
     in_scope = frozenset(levels)
     nlev = len(levels)
-    memo: Dict[Tuple[int, int], int] = {}
+    memo: Dict[int, int] = {}
     closures: Dict[int, int] = {}
-
-    def extreme(edge: int, k: int) -> int:
-        key = (edge, k)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+    level_a, low_a, high_a = manager._level, manager._low, manager._high
+    mk, and_e = manager._mk, manager._and_e
+    span = nlev + 1
+    root = manager._unwrap(u) * span
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        edge = key // span
+        k = key - edge * span
         if edge == _FALSE:
             memo[key] = _FALSE
-            return _FALSE
-        top = manager._level[edge >> 1]
+            stack.pop()
+            continue
+        index = edge >> 1
+        top = level_a[index]
         j = k
         while j < nlev and levels[j] < top:
             j += 1
         if edge == _TRUE:
             core = _TRUE
         else:
-            index = edge >> 1
             c = edge & 1
-            u0 = manager._low[index] ^ c
-            u1 = manager._high[index] ^ c
-            if j < nlev and levels[j] == top:
-                m0 = extreme(u0, j + 1)
-                m1 = extreme(u1, j + 1)
-                if maximal:
-                    below = _closure_e(manager, u1, in_scope, True, closures)
-                    core = manager._mk(top, manager._and_e(m0, below ^ 1), m1)
-                else:
-                    above = _closure_e(manager, u0, in_scope, False, closures)
-                    core = manager._mk(top, m0, manager._and_e(m1, above ^ 1))
+            u0 = low_a[index] ^ c
+            u1 = high_a[index] ^ c
+            branch = j < nlev and levels[j] == top
+            kk = j + 1 if branch else j
+            key0 = u0 * span + kk
+            if key0 not in memo:
+                stack.append(key0)
+                continue
+            key1 = u1 * span + kk
+            if key1 not in memo:
+                stack.append(key1)
+                continue
+            m0 = memo[key0]
+            m1 = memo[key1]
+            if not branch:
+                core = mk(top, m0, m1)
+            elif maximal:
+                below = _closure_e(manager, u1, in_scope, True, closures)
+                core = mk(top, and_e(m0, below ^ 1), m1)
             else:
-                core = manager._mk(top, extreme(u0, j), extreme(u1, j))
+                above = _closure_e(manager, u0, in_scope, False, closures)
+                core = mk(top, m0, and_e(m1, above ^ 1))
+        stack.pop()
         # Skipped scope variables: an extreme vector cannot waste a bit
         # the function ignores, so pin them (0 for minimal, 1 for
         # maximal).
         for lvl in reversed(levels[k:j]):
             if maximal:
-                core = manager._mk(lvl, _FALSE, core)  # x and core
+                core = mk(lvl, _FALSE, core)  # x and core
             else:
-                core = manager._mk(lvl, core, _FALSE)  # (not x) and core
+                core = mk(lvl, core, _FALSE)  # (not x) and core
         memo[key] = core
-        return core
-
-    return manager._wrap(extreme(manager._unwrap(u), 0))
+    return manager._wrap(memo[root])
 
 
 def minimal_solutions(

@@ -12,10 +12,21 @@ employ for the case study).  We support its static subset::
     "H1";
 
 * ``and`` / ``or`` / ``<k>of<N>`` introduce gates;
-* any other line declares a basic event, optionally with ``prob=`` (other
-  attributes such as ``lambda=`` or ``dorm=`` are accepted and ignored);
-* ``//``, ``#`` and ``/* ... */`` comments are stripped; names may be
-  quoted (needed for ``"CP/R"``).
+* any other line declares a basic event, optionally with ``prob=`` (a
+  number in [0, 1]; other attributes such as ``lambda=`` or ``dorm=``
+  are accepted and ignored);
+* names may be quoted (needed for ``"CP/R"``); a quoted name may hold
+  any character but ``"`` (``;``, ``#`` and ``//`` included) and must
+  not be empty;
+* ``//``, ``#`` and ``/* ... */`` comments are skipped outside quotes.
+
+:func:`loads` reads the text in one pass: a single scanner yields quoted
+names, bare words, statement ends and comments in document order, so a
+comment marker inside a quoted name is part of the name.  Every rejected
+document raises :class:`~repro.errors.GalileoFormatError`, including
+structural faults of the tree it describes (the
+:class:`~repro.errors.WellFormednessError` or
+:class:`~repro.errors.GateArityError` is chained as the cause).
 """
 
 from __future__ import annotations
@@ -23,31 +34,82 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional
 
-from ..errors import GalileoFormatError
+from ..errors import GalileoFormatError, GateArityError, WellFormednessError
 from .elements import BasicEvent, Gate, GateType
 from .tree import FaultTree
 
 _VOT_RE = re.compile(r"^(\d+)of(\d+)$")
-_TOKEN_RE = re.compile(r'"([^"]*)"|(\S+)')
+
+#: The characters ``str.splitlines`` breaks at: a line comment ends there.
+_EOL = r"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _strip_comments(text: str) -> str:
-    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.DOTALL)
-    lines = []
-    for line in text.splitlines():
-        for marker in ("//", "#"):
-            index = line.find(marker)
-            if index >= 0:
-                line = line[:index]
-        lines.append(line)
-    return "\n".join(lines)
+def _scanner(nested_blocks: bool) -> "re.Pattern[str]":
+    """The one-pass scanner.  Each match skips leading whitespace and
+    captures one item as a plain string: a quoted name with its quotes
+    (so ``""`` is told apart from a comment), ``;``, a bare word (it
+    stops where a comment or statement end begins), or the opening
+    ``"`` / ``/*`` of an unterminated quote or block comment.  Comments
+    and the end of the text capture ``""``.  With ``nested_blocks`` a
+    block comment opened inside a line comment runs to its ``*/`` and
+    the line comment on to the end of that line, so such documents keep
+    the parse they had when block comments were stripped before line
+    comments; without, a line comment ends at its line.
+    """
+    inner = r"/\*.*?\*/|" if nested_blocks else ""
+    return re.compile(
+        rf"\s*+(?:(?://|#)(?:{inner}[^{_EOL}])*+|/\*.*?\*/"
+        r'|("[^"]*"|;|(?:[^\s;#/"]|/(?![/*]))(?:[^\s;#/]|/(?![/*]))*+|/\*|")'
+        r"|\Z)",
+        re.DOTALL,
+    )
 
 
-def _tokenize(statement: str) -> List[str]:
-    tokens = []
-    for quoted, bare in _TOKEN_RE.findall(statement):
-        tokens.append(quoted if quoted else bare)
-    return tokens
+#: Without a ``*/`` in the text no block comment can close, and the
+#: plain scanner keeps every match linear.
+_SCAN_PLAIN = _scanner(False)
+_SCAN_NESTED = _scanner(True)
+
+
+def _statements(text: str) -> List[List[str]]:
+    """The document's non-empty statements, each a list of tokens."""
+    scanner = _SCAN_NESTED if "*/" in text else _SCAN_PLAIN
+    statements: List[List[str]] = []
+    tokens: List[str] = []
+    for item in scanner.findall(text):
+        if not item:  # a comment, or the end of the text
+            continue
+        if item[0] == '"':
+            if len(item) == 1:
+                raise GalileoFormatError("unterminated quoted name")
+            if len(item) == 2:
+                raise GalileoFormatError("empty quoted name")
+            tokens.append(item[1:-1])
+        elif item == ";":
+            if tokens:
+                statements.append(tokens)
+                tokens = []
+        elif item == "/*":
+            raise GalileoFormatError("unterminated /* comment")
+        else:
+            tokens.append(item)
+    if tokens:
+        statements.append(tokens)
+    return statements
+
+
+def _probability(head: str, value: str) -> float:
+    try:
+        probability = float(value)
+    except ValueError:
+        raise GalileoFormatError(
+            f"bad probability {value!r} for {head!r}"
+        ) from None
+    if not 0.0 <= probability <= 1.0:  # also rejects nan
+        raise GalileoFormatError(
+            f"probability of {head!r} must lie in [0, 1], got {value!r}"
+        )
+    return probability
 
 
 def loads(text: str) -> FaultTree:
@@ -55,102 +117,80 @@ def loads(text: str) -> FaultTree:
 
     Raises:
         GalileoFormatError: On any syntactic problem (missing ``toplevel``,
-            malformed statement, bad VOT arity, ...).
+            malformed statement, bad VOT arity, a probability outside
+            [0, 1], an empty name, ...) and on a tree that is not
+            well-formed.
     """
+    statements = _statements(text)
+    if not statements:
+        raise GalileoFormatError("empty Galileo document")
     top: Optional[str] = None
     gates: List[Gate] = []
     basic: Dict[str, BasicEvent] = {}
-    order: List[str] = []
-
-    statements = [
-        s.strip()
-        for s in _strip_comments(text).split(";")
-        if s.strip()
-    ]
-    if not statements:
-        raise GalileoFormatError("empty Galileo document")
-
-    for statement in statements:
-        tokens = _tokenize(statement)
-        if not tokens:
-            continue
-        head = tokens[0]
-        if head == "toplevel":
-            if len(tokens) != 2:
-                raise GalileoFormatError(
-                    f"malformed toplevel statement: {statement!r}"
-                )
-            if top is not None:
-                raise GalileoFormatError("duplicate toplevel statement")
-            top = tokens[1]
-            continue
-        if len(tokens) >= 2 and tokens[1] in ("and", "or"):
-            children = tuple(tokens[2:])
-            if not children:
-                raise GalileoFormatError(
-                    f"gate {head!r} has no children"
-                )
-            gate_type = GateType.AND if tokens[1] == "and" else GateType.OR
-            gates.append(
-                Gate(name=head, gate_type=gate_type, children=children)
-            )
-            continue
-        vot = _VOT_RE.match(tokens[1]) if len(tokens) >= 2 else None
-        if vot:
-            k, n = int(vot.group(1)), int(vot.group(2))
-            children = tuple(tokens[2:])
-            if len(children) != n:
-                raise GalileoFormatError(
-                    f"VOT gate {head!r} declares {n} children "
-                    f"but lists {len(children)}"
-                )
-            gates.append(
-                Gate(
-                    name=head,
-                    gate_type=GateType.VOT,
-                    children=children,
-                    threshold=k,
-                )
-            )
-            continue
-        # Anything else declares a basic event with key=value attributes.
-        probability: Optional[float] = None
-        for attr in tokens[1:]:
-            if "=" not in attr:
-                raise GalileoFormatError(
-                    f"unrecognised statement: {statement!r}"
-                )
-            key, _, value = attr.partition("=")
-            if key == "prob":
-                try:
-                    probability = float(value)
-                except ValueError:
+    gate_names = set()
+    try:
+        for tokens in statements:
+            head = tokens[0]
+            kind = tokens[1] if len(tokens) >= 2 else None
+            if head == "toplevel":
+                if len(tokens) != 2:
                     raise GalileoFormatError(
-                        f"bad probability {value!r} for {head!r}"
-                    ) from None
-        if head in basic:
-            raise GalileoFormatError(f"duplicate basic event {head!r}")
-        basic[head] = BasicEvent(name=head, probability=probability)
-        order.append(head)
+                        f"malformed toplevel statement: {' '.join(tokens)!r}"
+                    )
+                if top is not None:
+                    raise GalileoFormatError("duplicate toplevel statement")
+                top = kind
+                continue
+            if kind == "and" or kind == "or":
+                children = tuple(tokens[2:])
+                if not children:
+                    raise GalileoFormatError(
+                        f"gate {head!r} has no children"
+                    )
+                gate_type = GateType.AND if kind == "and" else GateType.OR
+                gates.append(Gate(head, gate_type, children))
+                gate_names.add(head)
+                continue
+            vot = _VOT_RE.match(kind) if kind is not None else None
+            if vot:
+                k, n = int(vot.group(1)), int(vot.group(2))
+                children = tuple(tokens[2:])
+                if len(children) != n:
+                    raise GalileoFormatError(
+                        f"VOT gate {head!r} declares {n} children "
+                        f"but lists {len(children)}"
+                    )
+                gates.append(Gate(head, GateType.VOT, children, threshold=k))
+                gate_names.add(head)
+                continue
+            # Anything else declares a basic event with key=value
+            # attributes.
+            probability: Optional[float] = None
+            for attr in tokens[1:]:
+                key, eq, value = attr.partition("=")
+                if not eq:
+                    raise GalileoFormatError(
+                        f"unrecognised statement: {' '.join(tokens)!r}"
+                    )
+                if key == "prob":
+                    probability = _probability(head, value)
+            if head in basic:
+                raise GalileoFormatError(f"duplicate basic event {head!r}")
+            basic[head] = BasicEvent(head, probability=probability)
 
-    if top is None:
-        raise GalileoFormatError("missing toplevel statement")
+        if top is None:
+            raise GalileoFormatError("missing toplevel statement")
 
-    # Children that were never declared are implicit basic events (a common
-    # shorthand in circulated .dft files).
-    declared = set(basic) | {gate.name for gate in gates}
-    for gate in gates:
-        for child in gate.children:
-            if child not in declared:
-                basic[child] = BasicEvent(name=child)
-                order.append(child)
-                declared.add(child)
+        # Children that were never declared are implicit basic events (a
+        # common shorthand in circulated .dft files).
+        for gate in gates:
+            for child in gate.children:
+                if child not in basic and child not in gate_names:
+                    basic[child] = BasicEvent(child)
 
-    return FaultTree(
-        basic_events=[basic[name] for name in order],
-        gates=gates,
-        top=top,
-    )
+        return FaultTree(basic_events=list(basic.values()), gates=gates, top=top)
+    except (GateArityError, WellFormednessError) as exc:
+        raise GalileoFormatError(str(exc)) from exc
 
 
 def _quote(name: str) -> str:

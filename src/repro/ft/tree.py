@@ -71,8 +71,12 @@ class FaultTree:
             )
         self._top = top
         self._be_order: Tuple[str, ...] = tuple(be.name for be in basic_events)
-        self._parents: Dict[str, Tuple[str, ...]] = {}
         self._validate()
+        parents: Dict[str, List[str]] = {name: [] for name in self.elements}
+        for gate in self._gates.values():
+            for child in gate.children:
+                parents[child].append(gate.name)
+        self._parents = {name: tuple(ps) for name, ps in parents.items()}
         self._depth_cache: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -80,52 +84,47 @@ class FaultTree:
     # ------------------------------------------------------------------
 
     def _validate(self) -> None:
-        parents: Dict[str, List[str]] = {name: [] for name in self.elements}
-        for gate in self._gates.values():
-            for child in gate.children:
-                if child not in self._basic and child not in self._gates:
-                    raise WellFormednessError(
-                        f"gate {gate.name!r} references unknown child {child!r}"
-                    )
-                parents[child].append(gate.name)
-        self._parents = {name: tuple(ps) for name, ps in parents.items()}
-
-        # Acyclicity via iterative DFS with colour marking.
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {name: WHITE for name in self._gates}
-        for start in self._gates:
-            if colour[start] != WHITE:
-                continue
-            stack: List[Tuple[str, int]] = [(start, 0)]
-            colour[start] = GREY
-            while stack:
-                name, child_index = stack[-1]
-                children = self._gates[name].children
-                if child_index == len(children):
-                    stack.pop()
-                    colour[name] = BLACK
+        """Def. 1's well-formedness in one depth-first walk from the top:
+        every child met must be known and not on the walk's path (a
+        cycle, or a parent of the top); whatever the walk misses cannot
+        reach the top (faults inside it are reported as that)."""
+        gates = self._gates
+        basic = self._basic
+        top = self._top
+        # Colour marking: True while a gate is on the walk's path, False
+        # once done; a gate's child iterator resumes where it stopped.
+        on_path: Dict[str, bool] = {top: True}
+        reached_basic = set()
+        stack = [(top, iter(gates[top].children))]
+        while stack:
+            name, children = stack[-1]
+            for child in children:
+                gate = gates.get(child)
+                if gate is None:
+                    if child not in basic:
+                        raise WellFormednessError(
+                            f"gate {name!r} references unknown child {child!r}"
+                        )
+                    reached_basic.add(child)
                     continue
-                stack[-1] = (name, child_index + 1)
-                child = children[child_index]
-                if child in self._basic:
-                    continue
-                if colour[child] == GREY:
+                state = on_path.get(child)
+                if state is None:
+                    on_path[child] = True
+                    stack.append((child, iter(gate.children)))
+                    break
+                if state:
                     raise WellFormednessError(
-                        f"cycle through gate {child!r}"
+                        f"top element {top!r} has a parent" if child == top
+                        else f"cycle through gate {child!r}"
                     )
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, 0))
+            else:
+                on_path[name] = False
+                stack.pop()
 
         # The top must be reachable from every element, i.e. every element
-        # must occur in the top's closure and the top must have no parent.
-        if self._parents[self._top]:
-            raise WellFormednessError(
-                f"top element {self._top!r} has a parent"
-            )
-        reachable = self.descendants(self._top) | {self._top}
-        orphans = set(self.elements) - reachable
-        if orphans:
+        # must occur in the top's closure.
+        if len(on_path) + len(reached_basic) != len(gates) + len(basic):
+            orphans = (set(basic) - reached_basic) | (set(gates) - set(on_path))
             raise WellFormednessError(
                 "elements not connected to the top: "
                 + ", ".join(sorted(orphans))
@@ -163,8 +162,11 @@ class FaultTree:
 
     def is_basic(self, name: str) -> bool:
         """True iff ``name`` is a basic event."""
-        self._require(name)
-        return name in self._basic
+        if name in self._basic:
+            return True
+        if name in self._gates:
+            return False
+        raise UnknownElementError(name)
 
     def basic_event(self, name: str) -> BasicEvent:
         """The :class:`BasicEvent` record for ``name``."""
@@ -190,10 +192,12 @@ class FaultTree:
 
     def children(self, name: str) -> Tuple[str, ...]:
         """``ch(name)`` for gates; the empty tuple for basic events."""
-        self._require(name)
+        gate = self._gates.get(name)
+        if gate is not None:
+            return gate.children
         if name in self._basic:
             return ()
-        return self._gates[name].children
+        raise UnknownElementError(name)
 
     def parents(self, name: str) -> Tuple[str, ...]:
         """Gates that list ``name`` among their children."""

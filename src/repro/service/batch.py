@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import sys
 import time
 import weakref
 from dataclasses import replace
@@ -37,6 +38,7 @@ from ..bdd.ordering import DEFAULT_ORDER
 from ..checker.engine import ModelChecker
 from ..errors import (
     QueryDeadlineError,
+    ResourceLimitError,
     ReproError,
     SnapshotError,
     error_kind,
@@ -874,9 +876,8 @@ class BatchAnalyzer:
             self._battery_deadline_at = batch_start + deadline_ms / 1000.0
         else:
             self._battery_deadline_at = None
-        before = {
-            name: session.snapshot() for name, session in self._sessions.items()
-        }
+        held = dict(self._sessions)
+        before = {name: session.snapshot() for name, session in held.items()}
 
         # Phase 1: parse everything up front.  Per-query errors are
         # (message, error_kind) pairs from here on.
@@ -926,9 +927,11 @@ class BatchAnalyzer:
         translate_start = time.perf_counter()
         translate_errors: Dict[Tuple[str, Statement], Tuple[str, str]] = {}
         for name, statements in to_warm.items():
-            session = self._sessions[name]
-            manager = session.checker.manager
             for statement in statements:
+                # Looked up per statement: a deep-recursion abort may
+                # have dropped the scenario's kernel for a rebuild.
+                session = self.session(name)
+                manager = session.checker.manager
                 timeout = warm_timeout.get((name, statement))
                 remaining = self._battery_remaining_ms()
                 budget = timeout
@@ -951,6 +954,10 @@ class BatchAnalyzer:
                 except ReproError as error:
                     translate_errors[(name, statement)] = (
                         str(error), error_kind(error)
+                    )
+                except RecursionError:
+                    translate_errors[(name, statement)] = (
+                        self._abort_deep_recursion(name)
                     )
                 finally:
                     manager.governor = None
@@ -982,7 +989,7 @@ class BatchAnalyzer:
             # Query boundaries are safe points: results are plain Python
             # data by now, so dead intermediate BDDs may be reclaimed and
             # the order resifted before the next query.
-            self._sessions[spec.tree].checker.manager.checkpoint()
+            self.session(spec.tree).checker.manager.checkpoint()
 
         unique = sum(len(bucket) for bucket in seen.values())
         elapsed_ms = (time.perf_counter() - batch_start) * 1000.0
@@ -1000,8 +1007,10 @@ class BatchAnalyzer:
             },
             "scenarios": {
                 name: self._scenario_stats(
-                    self._sessions[name],
-                    before.get(name, self._zero_counters()),
+                    self.session(name),
+                    before[name]
+                    if self._sessions.get(name) is held.get(name)
+                    else self._zero_counters(),
                 )
                 for name in sorted(seen)
             },
@@ -1033,10 +1042,30 @@ class BatchAnalyzer:
     # Internals
     # ------------------------------------------------------------------
 
+    def _abort_deep_recursion(self, name: str) -> Tuple[str, str]:
+        """The (message, error_kind) row for a kernel recursion deeper
+        than Python's recursion limit (one AND gate over 1,500 events).
+        Runs the manager's abort protocol; a kernel that then fails
+        ``check_invariants`` is dropped with every session on it, so the
+        scenario is rebuilt on next use and never pooled."""
+        manager = self._sessions[name].checker.manager
+        manager._governed_abort()
+        try:
+            manager.check_invariants()
+        except AssertionError:
+            for other, session in list(self._sessions.items()):
+                if session.checker.manager is manager:
+                    del self._sessions[other]
+        return (
+            f"scenario {name!r}: a BDD operation recursed past Python's "
+            f"recursion limit ({sys.getrecursionlimit()})",
+            ResourceLimitError.kind,
+        )
+
     def _evaluate(
         self, spec: QuerySpec, statement: Optional[Statement]
     ) -> QueryResult:
-        session = self._sessions[spec.tree]
+        session = self.session(spec.tree)
         checker = session.checker
         start = time.perf_counter()
         fields: Dict[str, Any] = {}
@@ -1076,6 +1105,8 @@ class BatchAnalyzer:
         except ReproError as exc:
             error = str(exc)
             kind = error_kind(exc)
+        except RecursionError:
+            error, kind = self._abort_deep_recursion(spec.tree)
         finally:
             manager.governor = None
         elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -893,6 +893,17 @@ class AnalysisServer:
             for name, session in pinned.items():
                 analyzer.adopt_session(name, session)
             report = analyzer.run(specs)
+            # A pooled kernel the battery dropped (it failed its
+            # invariants after a deep-recursion abort) leaves the pool;
+            # the analyzer's rebuild, if any, is adopted below.
+            dropped = [
+                name for name, session in pinned.items()
+                if analyzer.sessions.get(name) is not session
+            ]
+            for name in dropped:
+                self.pool.release(keys[name])
+                self.pool.discard(keys[name])
+                del pinned[name]
             # Capture the sessions this battery built (cold or rewarmed)
             # into the hot tier; pool.adopt pins them, and the finally
             # below releases every pin in one place.

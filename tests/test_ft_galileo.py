@@ -1,11 +1,16 @@
 """Galileo format: parsing, serialisation, round-trips and error reporting."""
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.casestudy import build_covid_tree
 from repro.errors import GalileoFormatError
-from repro.ft import GateType, dumps, loads
+from repro.ft import FaultTreeBuilder, GateType, dumps, loads
 from repro.ft.galileo import dump, load
+from repro.service import kernel_key, tree_fingerprint
 
 
 SAMPLE = """
@@ -71,11 +76,120 @@ class TestErrors:
             "toplevel g; g or a; a; a;",  # duplicate basic event
             "toplevel;",  # malformed toplevel
             "toplevel g; g or a; what is this;",  # unrecognised statement
+            '"T" or "a"; toplevel "T"; "a" prob=1.5;',  # probability > 1
+            '"T" or "a"; toplevel "T"; "a" prob=nan;',  # probability nan
+            'toplevel "T"; "T" or "" "b";',  # empty quoted name
+            "toplevel g; g or a; a prob=-0.1;",  # probability < 0
+            "toplevel g; g or a; a prob=inf;",  # probability inf
+            'toplevel "g; "g" or a;',  # unterminated quote
+            "toplevel g; g or a; /* open",  # unterminated block comment
+            "toplevel g; g or g;",  # cycle (WellFormednessError cause)
+            "toplevel g; g or a a;",  # repeated child (GateArityError)
+            "toplevel g; g 0of1 a;",  # VOT threshold 0 (GateArityError)
+            "toplevel g; g or a; h or b;",  # h not connected to the top
         ],
     )
     def test_rejected_documents(self, text):
         with pytest.raises(GalileoFormatError):
             loads(text)
+
+    def test_structural_cause_is_chained(self):
+        from repro.errors import WellFormednessError
+
+        with pytest.raises(GalileoFormatError) as info:
+            loads("toplevel g; g or g;")
+        assert isinstance(info.value.__cause__, WellFormednessError)
+
+    def test_bad_variant_fragment_is_a_structured_error(self):
+        # subtree-replace fragments go through loads; a bad probability
+        # must surface as a ReproError, never a bare ValueError.
+        from repro.ft.edits import apply_edits
+        from repro.errors import ReproError
+
+        tree = loads("toplevel T; T or G b; G and a c;")
+        edit = {
+            "op": "subtree-replace",
+            "element": "G",
+            "fragment": 'toplevel "x"; "x" and "c" "d"; "c" prob=2;',
+        }
+        with pytest.raises(ReproError):
+            apply_edits(tree, [edit])
+
+
+class TestQuotedNames:
+    """Comment markers and ``;`` are part of a quoted name."""
+
+    @pytest.mark.parametrize("name", ["a#1", "a//b", "a/*b*/c", "a;b"])
+    def test_marker_inside_quotes(self, name):
+        tree = loads(
+            f'toplevel "T"; "T" or "{name}" "b"; "{name}" prob=0.1;'
+        )
+        assert tree.elements == (name, "b", "T")
+        assert tree.basic_event(name).probability == 0.1
+
+    def test_comments_outside_quotes_still_skipped(self):
+        tree = loads(
+            'toplevel "T"; # "not a name\n'
+            '"T" or "a#1" /* "x" */ "b"; // trailing "quote\n'
+        )
+        assert tree.children("T") == ("a#1", "b")
+
+    def test_block_comment_opened_in_line_comment(self):
+        # Block comments used to be stripped before line comments, so a
+        # "/*" inside a line comment runs to its "*/"; kept as it was.
+        tree = loads('toplevel T; // x /* y\n z; w */ more\nT or a;')
+        assert tree.elements == ("a", "T")
+
+    def test_round_trip_of_awkward_names(self):
+        names = ["has#hash", "has//slashes", "has;semi", "has space",
+                 "/*block*/", "#"]
+        builder = FaultTreeBuilder()
+        builder.basic_events(*names)
+        builder.or_gate("top gate; #1", *names)
+        tree = builder.build("top gate; #1")
+        reparsed = loads(dumps(tree))
+        assert reparsed.elements == tree.elements
+        assert reparsed.children("top gate; #1") == tuple(names)
+        assert tree_fingerprint(reparsed) == tree_fingerprint(tree)
+
+    def test_kernel_key_of_a_plain_document_is_unchanged(self):
+        # Pinned before the one-pass scanner: documents without comment
+        # markers inside quoted names parse to the same tree.
+        text = (
+            "// covid excerpt\n"
+            'toplevel "CP/R";  # top\n'
+            '"CP/R" or "CP" "CR";\n'
+            "/* gates\n */ CP and IW H3;\n"
+            '"CR" and "IT" "H2"; "IW" prob=0.1;'
+        )
+        assert kernel_key(loads(text)) == (
+            "ac9901753e781044eaf34dc1f9eea88656fe68e8ab6c2e41d10496ba2544eaa2"
+        )
+
+
+def _hostile_texts():
+    alphabet = st.sampled_from(
+        list('"#/*;= \n\tabT') + ["toplevel", "and", "or", "2of3", "prob="]
+    )
+    return st.lists(alphabet, max_size=60).map("".join) | st.text(max_size=200)
+
+
+class TestHostileText:
+    @settings(max_examples=300, deadline=None)
+    @given(_hostile_texts())
+    def test_parses_or_raises_format_error_quickly(self, text):
+        start = time.perf_counter()
+        try:
+            loads(text)
+        except GalileoFormatError:
+            pass
+        assert time.perf_counter() - start < 0.5
+
+    def test_many_unclosed_block_markers_in_line_comments_stay_linear(self):
+        text = "toplevel g; g or a;\n" + "# /*\n" * 20000
+        start = time.perf_counter()
+        assert loads(text).top == "g"
+        assert time.perf_counter() - start < 2.0
 
 
 class TestRoundTrip:
