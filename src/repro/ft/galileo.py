@@ -65,18 +65,43 @@ def _scanner(nested_blocks: bool) -> "re.Pattern[str]":
     )
 
 
-#: Without a ``*/`` in the text no block comment can close, and the
-#: plain scanner keeps every match linear.
 _SCAN_PLAIN = _scanner(False)
 _SCAN_NESTED = _scanner(True)
 
 
+def _items(text: str) -> List[str]:
+    """``_SCAN_NESTED.findall(text)``, in time linear in the text.
+
+    A ``/*`` past the last ``*/`` cannot close, and the nested scanner
+    would rescan to the end of the text at each one inside a line
+    comment.  Without a ``*/`` the plain scanner gives the same items;
+    otherwise such markers are disarmed in a same-length copy that is
+    matched, and the items are read off the text.
+    """
+    cut = text.rfind("*/") + 2
+    if cut == 1:
+        return _SCAN_PLAIN.findall(text)
+    if text.find("/*", cut) < 0:
+        return _SCAN_NESTED.findall(text)
+    probe = text[:cut] + text[cut:].replace("/*", "/\0")
+    items = []
+    for match in _SCAN_NESTED.finditer(probe):
+        item = text[match.start(1):match.end(1)]
+        if item[:1] != '"' and "/*" in item:
+            # A disarmed marker in running text: the nested scanner ends
+            # the word before it and reports it unterminated.
+            word = item[:item.index("/*")]
+            items.extend([word, "/*"] if word else ["/*"])
+            break
+        items.append(item)
+    return items
+
+
 def _statements(text: str) -> List[List[str]]:
     """The document's non-empty statements, each a list of tokens."""
-    scanner = _SCAN_NESTED if "*/" in text else _SCAN_PLAIN
     statements: List[List[str]] = []
     tokens: List[str] = []
-    for item in scanner.findall(text):
+    for item in _items(text):
         if not item:  # a comment, or the end of the text
             continue
         if item[0] == '"':

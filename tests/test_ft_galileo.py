@@ -185,11 +185,18 @@ class TestHostileText:
             pass
         assert time.perf_counter() - start < 0.5
 
-    def test_many_unclosed_block_markers_in_line_comments_stay_linear(self):
-        text = "toplevel g; g or a;\n" + "# /*\n" * 20000
+    @pytest.mark.parametrize("prefix", ["", "/* closed */ "])
+    def test_many_unclosed_block_markers_in_line_comments_stay_linear(
+        self, prefix
+    ):
+        text = prefix + "toplevel g; g or a;\n" + "# /*\n" * 20000
         start = time.perf_counter()
         assert loads(text).top == "g"
         assert time.perf_counter() - start < 2.0
+
+    def test_unclosable_block_marker_after_the_last_close_is_rejected(self):
+        with pytest.raises(GalileoFormatError, match="unterminated /\\*"):
+            loads("/* a */ toplevel g; g or a; # /*\n b/* c")
 
 
 class TestRoundTrip:
