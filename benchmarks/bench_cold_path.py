@@ -2,13 +2,10 @@
 
 A cold query is the paper's Algorithm 1 from nothing: parse the Galileo
 text, translate the tree (``Psi_FT``), then build ``MCS(phi)``.  This
-script times each of those layers on its own, on trees shaped like the
-benchmark corpus:
-
-* ``covid-2or`` / ``covid-3or`` -- two or three wards with the gate
-  structure of the paper's COVID-19 tree under an OR, host events shared;
-* ``bank-2x10`` / ``bank-3x10`` -- two or three 5-of-10 votes over
-  primary/backup pairs, primaries declared before backups.
+script times each of those layers on its own, on the benchmark's seed-1
+corpus (``perfbench/corpus.py``, read only): two- and three-ward
+COVID-shaped trees and two- and three-bank 5-of-10 vote trees, each with
+the query battery the benchmark runs on it.
 
 Per tree it prints the minimum over ``BENCH_REPEATS`` runs (default 40)
 of:
@@ -19,11 +16,12 @@ of:
 * ``mcs_ms`` -- ``MCS(top)`` on a fresh kernel that already holds
   ``Psi(top)`` (paper-scale trees only, as in the benchmark battery);
 * ``battery_ms`` -- ``loads`` + a fresh :class:`BatchAnalyzer` + the
-  battery (``exists top``, MCS on paper-scale trees, ``probability``)
-  + ``to_json``.
+  tree's battery + ``to_json``.
 
-Informational only: no gate, no floor.  It gives a change to the cold
-path a per-layer number outside the end-to-end benchmark.  Run::
+Rows are grouped by template; the record also keeps, per template, the
+median of its trees' minima.  Informational only: no gate, no floor.  It
+gives a change to the cold path a per-layer number outside the
+end-to-end benchmark.  Run::
 
     PYTHONPATH=src python benchmarks/bench_cold_path.py
 
@@ -35,8 +33,10 @@ from __future__ import annotations
 
 import os
 import platform
+import statistics
+import sys
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
 from bench_json import record_run
 
@@ -46,76 +46,11 @@ from repro.checker import ModelChecker
 from repro.ft import galileo
 from repro.service import BatchAnalyzer
 
+sys.path.insert(0, os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+from corpus import PAPER, CorpusTree, battery, build_corpus  # noqa: E402
+
 REPEATS = int(os.environ.get("BENCH_REPEATS", "40"))
-
-
-def _ward(lines: List[str], events: List[str], tag: str) -> str:
-    """One COVID-shaped ward over the shared host events ``H1``/``VW``."""
-    e = {name: f"{name}_{tag}" for name in (
-        "IW", "H3", "IT", "H2", "PP", "H4", "IS", "H5", "AB", "MV", "UT")}
-    events.extend(e.values())
-    g = lambda name: f"{name}_{tag}"  # noqa: E731
-    gates = [
-        ("CP", "and", [e["IW"], e["H3"]]),
-        ("CR", "and", [e["IT"], e["H2"]]),
-        ("CPR", "or", [g("CP"), g("CR")]),
-        ("CIW", "and", [e["IW"], e["PP"], "H1"]),
-        ("MH1", "and", ["H1", e["H4"]]),
-        ("CIO", "and", [e["IT"], g("MH1")]),
-        ("MH2", "and", ["H1", e["H5"]]),
-        ("CIS", "and", [e["IS"], g("MH2")]),
-        ("CT", "or", [g("CIW"), g("CIO"), g("CIS")]),
-        ("DT", "and", [e["IW"], e["PP"]]),
-        ("AM", "or", [e["AB"], e["MV"]]),
-        ("AT", "and", [e["IW"], g("AM")]),
-        ("CVT", "or", [e["UT"]]),
-        ("MOT", "or", [g("CT"), g("DT"), g("AT"), g("CVT")]),
-        ("SH", "and", ["VW", "H1"]),
-        ("W", "and", [g("CPR"), g("MOT"), g("SH")]),
-    ]
-    for name, kind, children in gates:
-        lines.append(f'"{g(name)}" {kind} ' + " ".join(
-            f'"{child}"' for child in children) + ";")
-    return g("W")
-
-
-def covid_text(wards: int) -> str:
-    """Galileo text of ``wards`` COVID-shaped wards under an OR."""
-    lines: List[str] = ['toplevel "TOP";']
-    events = ["H1", "VW"]
-    tops = [_ward(lines, events, f"w{i}") for i in range(wards)]
-    lines.append('"TOP" or ' + " ".join(f'"{t}"' for t in tops) + ";")
-    lines.extend(f'"{name}" prob=0.01;' for name in events)
-    return "\n".join(lines) + "\n"
-
-
-def bank_text(banks: int, pairs: int = 10, threshold: int = 5) -> str:
-    """Galileo text of ``banks`` k-of-n votes over primary/backup pairs."""
-    lines: List[str] = ['toplevel "TOP";']
-    events: List[str] = []
-    votes = []
-    for bank in range(banks):
-        primaries = [f"P{bank}_{i}" for i in range(pairs)]
-        backups = [f"B{bank}_{i}" for i in range(pairs)]
-        events.extend(primaries + backups)
-        units = []
-        for i in range(pairs):
-            lines.append(f'"U{bank}_{i}" and "{primaries[i]}" "{backups[i]}";')
-            units.append(f'"U{bank}_{i}"')
-        lines.append(f'"V{bank}" {threshold}of{pairs} ' + " ".join(units) + ";")
-        votes.append(f'"V{bank}"')
-    lines.append('"TOP" or ' + " ".join(votes) + ";")
-    lines.extend(f'"{name}" prob=0.01;' for name in events)
-    return "\n".join(lines) + "\n"
-
-
-#: (template, Galileo text, paper-scale?) -- MCS runs on paper-scale only.
-TREES: Tuple[Tuple[str, str, bool], ...] = (
-    ("covid-2or", covid_text(2), True),
-    ("covid-3or", covid_text(3), True),
-    ("bank-2x10", bank_text(2), False),
-    ("bank-3x10", bank_text(3), False),
-)
 
 
 def _min_ms(run: Callable[[], Callable[[], object]]) -> float:
@@ -130,14 +65,13 @@ def _min_ms(run: Callable[[], Callable[[], object]]) -> float:
     return round(best * 1000.0, 4)
 
 
-def measure_tree(text: str, paper: bool) -> Dict[str, float]:
-    """The four per-layer minima for one tree."""
+def measure_tree(entry: CorpusTree) -> Dict[str, float]:
+    """The four per-layer minima for one corpus tree."""
+    text = entry.text
     tree = galileo.loads(text)
     top = tree.top
-    battery = [{"id": "exists", "kind": "check", "formula": f"exists {top}"},
-               {"id": "prob", "kind": "probability", "formula": top}]
-    if paper:
-        battery.insert(1, {"id": "mcs", "kind": "mcs", "element": top})
+    queries = battery(entry)
+    paper = entry.size_class == PAPER
 
     def psi():
         translator = ModelChecker(tree).translator.tree_translator
@@ -151,35 +85,48 @@ def measure_tree(text: str, paper: bool) -> Dict[str, float]:
 
     def whole():
         return lambda: BatchAnalyzer(
-            {"t": galileo.loads(text)}
-        ).run([dict(q, tree="t") for q in battery]).to_json()
+            {entry.name: galileo.loads(text)}
+        ).run(queries).to_json()
 
-    row = {
+    return {
         "loads_ms": _min_ms(lambda: lambda: galileo.loads(text)),
         "psi_ms": _min_ms(psi),
         "mcs_ms": _min_ms(mcs) if paper else None,
         "battery_ms": _min_ms(whole),
     }
-    return row
+
+
+def _cell(value) -> str:
+    return f"{'-' if value is None else f'{value:.3f}':>10}"
 
 
 def main() -> None:
-    rows = {}
-    print(f"cold path, per-tree minimum of {REPEATS} runs (ms)")
-    print(f"{'tree':<11}{'loads':>9}{'Psi(top)':>10}{'MCS(top)':>10}"
+    corpus = sorted(build_corpus(1), key=lambda entry: entry.template)
+    rows: Dict[str, Dict[str, float]] = {}
+    templates: Dict[str, Dict[str, float]] = {}
+    print(f"cold path, seed-1 corpus, per-tree minimum of {REPEATS} runs (ms)")
+    print(f"{'tree':<16}{'loads':>10}{'Psi(top)':>10}{'MCS(top)':>10}"
           f"{'battery':>10}")
-    for template, text, paper in TREES:
-        row = measure_tree(text, paper)
-        rows[template] = row
-        mcs = "-" if row["mcs_ms"] is None else f"{row['mcs_ms']:.3f}"
-        print(f"{template:<11}{row['loads_ms']:>9.3f}{row['psi_ms']:>10.3f}"
-              f"{mcs:>10}{row['battery_ms']:>10.3f}")
+    for entry in corpus:
+        row = rows[entry.name] = measure_tree(entry)
+        print(f"{entry.name:<16}" + "".join(_cell(v) for v in row.values()))
+    for template in dict.fromkeys(entry.template for entry in corpus):
+        group = [rows[e.name] for e in corpus if e.template == template]
+        templates[template] = {
+            key: None if group[0][key] is None else round(
+                statistics.median(row[key] for row in group), 4)
+            for key in group[0]
+        }
+        print(f"{template + ' p50':<16}"
+              + "".join(_cell(v) for v in templates[template].values()))
     path = record_run("cold_path", {
         "repeats": REPEATS,
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "numpy": _nputil.np is not None,
+        "corpus_seed": 1,
         "trees": rows,
+        "templates": templates,
     })
     print(f"record: {path}")
 

@@ -43,52 +43,42 @@ _VOT_RE = re.compile(r"^(\d+)of(\d+)$")
 #: The characters ``str.splitlines`` breaks at: a line comment ends there.
 _EOL = r"\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-
-def _scanner(nested_blocks: bool) -> "re.Pattern[str]":
-    """The one-pass scanner.  Each match skips leading whitespace and
-    captures one item as a plain string: a quoted name with its quotes
-    (so ``""`` is told apart from a comment), ``;``, a bare word (it
-    stops where a comment or statement end begins), or the opening
-    ``"`` / ``/*`` of an unterminated quote or block comment.  Comments
-    and the end of the text capture ``""``.  With ``nested_blocks`` a
-    block comment opened inside a line comment runs to its ``*/`` and
-    the line comment on to the end of that line, so such documents keep
-    the parse they had when block comments were stripped before line
-    comments; without, a line comment ends at its line.
-    """
-    inner = r"/\*.*?\*/|" if nested_blocks else ""
-    return re.compile(
-        rf"\s*+(?:(?://|#)(?:{inner}[^{_EOL}])*+|/\*.*?\*/"
-        r'|("[^"]*"|;|(?:[^\s;#/"]|/(?![/*]))(?:[^\s;#/]|/(?![/*]))*+|/\*|")'
-        r"|\Z)",
-        re.DOTALL,
-    )
-
-
-_SCAN_PLAIN = _scanner(False)
-_SCAN_NESTED = _scanner(True)
+#: The one-pass scanner.  Each match skips leading whitespace and
+#: captures one item as a plain string: a quoted name with its quotes (so
+#: ``""`` is told apart from a comment), ``;``, a bare word (it stops
+#: where a comment or statement end begins), or the opening ``"`` /
+#: ``/*`` of an unterminated quote or block comment.  Comments and the
+#: end of the text capture ``""``.  A block comment opened inside a line
+#: comment runs to its ``*/`` and the line comment on to the end of that
+#: line, so such documents keep the parse they had when block comments
+#: were stripped before line comments.  Every non-blank character starts
+#: one of the branches, and the loops end their branch, so a match never
+#: backtracks.
+_SCAN = re.compile(
+    rf"\s*(?:(?://|#)(?:/\*.*?\*/|[^{_EOL}])*|/\*.*?\*/"
+    r'|("[^"]*"|;|(?:[^\s;#/"]|/(?![/*]))(?:[^\s;#/]|/(?![/*]))*|/\*|")'
+    r"|\Z)",
+    re.DOTALL,
+)
 
 
 def _items(text: str) -> List[str]:
-    """``_SCAN_NESTED.findall(text)``, in time linear in the text.
+    """``_SCAN.findall(text)``, in time linear in the text.
 
-    A ``/*`` past the last ``*/`` cannot close, and the nested scanner
-    would rescan to the end of the text at each one inside a line
-    comment.  Without a ``*/`` the plain scanner gives the same items;
-    otherwise such markers are disarmed in a same-length copy that is
-    matched, and the items are read off the text.
+    A ``/*`` past the last ``*/`` cannot close, and the scanner would
+    rescan to the end of the text at each one inside a line comment.
+    Such markers are disarmed in a same-length copy that is matched, and
+    the items are read off the text.
     """
-    cut = text.rfind("*/") + 2
-    if cut == 1:
-        return _SCAN_PLAIN.findall(text)
+    cut = text.rfind("*/") + 2 if "*/" in text else 0
     if text.find("/*", cut) < 0:
-        return _SCAN_NESTED.findall(text)
+        return _SCAN.findall(text)
     probe = text[:cut] + text[cut:].replace("/*", "/\0")
     items = []
-    for match in _SCAN_NESTED.finditer(probe):
+    for match in _SCAN.finditer(probe):
         item = text[match.start(1):match.end(1)]
         if item[:1] != '"' and "/*" in item:
-            # A disarmed marker in running text: the nested scanner ends
+            # A disarmed marker in running text: the scanner ends
             # the word before it and reports it unterminated.
             word = item[:item.index("/*")]
             items.extend([word, "/*"] if word else ["/*"])

@@ -1047,10 +1047,14 @@ class BatchAnalyzer:
         than Python's recursion limit (one AND gate over 1,500 events).
         Runs the manager's abort protocol; a kernel that then fails
         ``check_invariants`` is dropped with every session on it, so the
-        scenario is rebuilt on next use and never pooled."""
+        scenario is rebuilt on next use and never pooled.  Under
+        ``python -O`` that check is made of stripped asserts and cannot
+        vouch for the kernel, so the kernel is always dropped."""
         manager = self._sessions[name].checker.manager
         manager._governed_abort()
         try:
+            if not __debug__:
+                raise AssertionError("kernel invariants are unchecked")
             manager.check_invariants()
         except AssertionError:
             for other, session in list(self._sessions.items()):

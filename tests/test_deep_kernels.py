@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from repro.bdd import BDDManager
-from repro.ft import loads
+from repro.ft import dumps, loads
 from repro.service import BatchAnalyzer
 
 from test_service_server import running
@@ -96,3 +96,36 @@ def test_http_battery_gets_a_200_with_structured_rows(monkeypatch, break_kernel)
             pooled.append(entry.session)
         # A kernel that failed its invariants never stays pooled.
         assert (pooled[0] is pooled[1]) is not break_kernel
+
+
+def test_without_asserts_a_kernel_is_always_rebuilt(tmp_path):
+    """``check_invariants`` is made of asserts; under ``python -O`` it
+    passes whatever the kernel holds, so it cannot keep a kernel."""
+    import json
+    import os
+    import subprocess
+
+    tree = deep_tree()
+    (tmp_path / "deep.dft").write_text(dumps(tree))
+    script = (
+        "import json, sys\n"
+        "from repro.ft import load\n"
+        "from repro.service import BatchAnalyzer\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are on')\n"
+        "analyzer = BatchAnalyzer({'s': load(sys.argv[1])})\n"
+        "first = analyzer.session('s')\n"
+        "rows = analyzer.run(json.loads(sys.argv[2])).to_dict()['results']\n"
+        "print(rows[0]['error_kind'], rows[1]['holds'],\n"
+        "      len(rows[2]['sets'][0]), analyzer.sessions['s'] is first)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path / "deep.dft"),
+         json.dumps([dict(q, tree="s") for q in BATTERY])],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split()
+    n = len(tree.basic_events) // 2
+    assert out == ["resource-limit", "True", str(n), "False"]

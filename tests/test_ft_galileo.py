@@ -1,5 +1,6 @@
 """Galileo format: parsing, serialisation, round-trips and error reporting."""
 
+import re
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.casestudy import build_covid_tree
 from repro.errors import GalileoFormatError
-from repro.ft import FaultTreeBuilder, GateType, dumps, loads
+from repro.ft import FaultTreeBuilder, GateType, dumps, galileo, loads
 from repro.ft.galileo import dump, load
 from repro.service import kernel_key, tree_fingerprint
 
@@ -119,7 +120,7 @@ class TestErrors:
 class TestQuotedNames:
     """Comment markers and ``;`` are part of a quoted name."""
 
-    @pytest.mark.parametrize("name", ["a#1", "a//b", "a/*b*/c", "a;b"])
+    @pytest.mark.parametrize("name", ["a#1", "a//b", "a/*b*/c", "a/*b", "a;b"])
     def test_marker_inside_quotes(self, name):
         tree = loads(
             f'toplevel "T"; "T" or "{name}" "b"; "{name}" prob=0.1;'
@@ -197,6 +198,21 @@ class TestHostileText:
     def test_unclosable_block_marker_after_the_last_close_is_rejected(self):
         with pytest.raises(GalileoFormatError, match="unterminated /\\*"):
             loads("/* a */ toplevel g; g or a; # /*\n b/* c")
+
+    @pytest.mark.parametrize("text", [
+        "toplevel g; g or a/* b;",
+        "toplevel g; g or a; /* b",
+        'toplevel g; g or "a/*"; # /*\n b/* c',
+    ])
+    def test_block_marker_that_never_closes_is_rejected(self, text):
+        with pytest.raises(GalileoFormatError, match="unterminated /\\*"):
+            loads(text)
+
+    def test_scanner_compiles_on_python_3_10(self):
+        # Possessive quantifiers and atomic groups need Python 3.11; the
+        # package supports 3.10, where they fail at import.
+        for pattern in (galileo._SCAN.pattern, galileo._VOT_RE.pattern):
+            assert not re.search(r"(?<!\\)[*+?}]\+|\(\?>", pattern)
 
 
 class TestRoundTrip:
