@@ -258,6 +258,14 @@ def run_gate(gate: GateSpec) -> Tuple[bool, float]:
     return result.returncode == 0, time.perf_counter() - start
 
 
+def src_lines() -> int:
+    """Physical lines over ``src/**/*.py``, as ``wc -l`` counts them."""
+    return sum(
+        path.read_bytes().count(b"\n")
+        for path in (HERE.parent / "src").rglob("*.py")
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="run the declarative benchmark-gate table"
@@ -325,9 +333,11 @@ def main(argv=None) -> int:
         print(f"  {marker}  {gate.name:14s} {seconds:7.1f}s  {gate.title}")
     if failed:
         print(f"{failed} of {len(outcomes)} gates FAILED")
-        return 1
-    print(f"all {len(outcomes)} gates passed")
-    return 0
+    else:
+        print(f"all {len(outcomes)} gates passed")
+    # Informational, no floor: the source size next to the timings.
+    print(f"src/ lines: {src_lines()}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -21,15 +21,22 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Union
 
 from ..bdd.allsat import path_sets
 from ..bdd.manager import BDDManager
+from ..bdd.quantify import is_satisfiable, is_tautology
 from ..errors import LogicError, StatusVectorError
 from ..ft.tree import FaultTree, StatusVector
 from ..logic.ast_nodes import (
+    IDP,
     MCS,
     MPS,
+    SUP,
     Atom,
+    Exists,
+    Forall,
     Formula,
+    ProbabilityQuery,
     Query,
     Statement,
+    Synthesize,
 )
 from ..logic.parser import parse
 from ..logic.scope import MinimalityScope
@@ -165,12 +172,28 @@ class ModelChecker:
         )
 
     def _check_query(self, query: Query) -> bool:
-        # The statement-type dispatch lives next to the query-kind
-        # registry so the checker facade and the service layer cannot
-        # drift apart (lazy import: the registry sits above this module).
-        from ..engine import check_statement
-
-        return check_statement(self, query)
+        translator = self.translator
+        manager = translator.manager
+        if isinstance(query, Exists):
+            return is_satisfiable(manager, translator.bdd(query.operand))
+        if isinstance(query, Forall):
+            return is_tautology(manager, translator.bdd(query.operand))
+        if isinstance(query, IDP):
+            return self.independence(query.left, query.right).independent
+        if isinstance(query, SUP):
+            return self.superfluous(query.element)
+        if isinstance(query, Synthesize):
+            # SYNTHESIZE as a plain check asks "is the property achievable
+            # at all" — satisfiability of the target formula.
+            return is_satisfiable(manager, translator.bdd(query.formula))
+        if isinstance(query, ProbabilityQuery):
+            raise LogicError(
+                "probabilistic queries need failure probabilities; use "
+                "repro.prob.ProbabilityChecker (sharing this checker's "
+                "translator) or the batch service's probability "
+                "configuration"
+            )
+        raise TypeError(f"cannot check {query!r}")
 
     # ------------------------------------------------------------------
     # Satisfaction sets (Algorithm 3)
@@ -280,7 +303,6 @@ class ModelChecker:
         Returns:
             :class:`repro.checker.synthesis.SynthesisRegions`.
         """
-        from ..logic.ast_nodes import Synthesize
         from .synthesis import synthesis_regions
 
         parsed = self._statement(formula)
@@ -306,9 +328,12 @@ class ModelChecker:
         query,
         probabilities: Optional[Mapping[str, float]] = None,
     ):
-        """Answer one service-layer query spec through the query-kind
-        registry — the same hooks :class:`repro.service.BatchAnalyzer`
-        dispatches with, minus governors and sharding.
+        """Answer one service-layer query spec exactly as a sequential
+        :class:`repro.service.BatchAnalyzer` battery answers it: the
+        spec runs through the batch pipeline's parse, translate and
+        evaluate phases on a session wrapping this checker, so its
+        translation caches are reused and the row matches the batch row
+        field for field (``elapsed_ms`` aside).
 
         Args:
             query: A :class:`repro.service.QuerySpec`, a JSON-style
@@ -320,14 +345,18 @@ class ModelChecker:
             :class:`repro.service.QueryResult` (errors are captured in
             the result row, exactly as the batch service reports them).
         """
-        from ..engine import CheckerSession, run_query
-        from ..service.queries import QuerySpec, specs_from_any
+        from ..service.batch import AnalysisSession, BatchAnalyzer
+        from ..service.queries import specs_from_any
 
-        if isinstance(query, QuerySpec):
-            spec = query
-        else:
-            spec = specs_from_any([query])[0]
-        return run_query(CheckerSession(self, probabilities), spec)
+        (spec,) = specs_from_any([query])
+        analyzer = BatchAnalyzer({spec.tree: self.tree})
+        analyzer.adopt_session(
+            spec.tree,
+            AnalysisSession(
+                spec.tree, self.tree, probabilities=probabilities, checker=self
+            ),
+        )
+        return analyzer.run([spec]).results[0]
 
     # ------------------------------------------------------------------
     # Introspection

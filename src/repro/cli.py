@@ -29,7 +29,7 @@ from . import __version__
 from .casestudy.covid import build_covid_tree
 from .casestudy.report import render_report
 from .checker.engine import ModelChecker
-from .errors import ReproError
+from .errors import ReproError, recursion_limit_message
 from .ft.galileo import load
 from .ft.tree import FaultTree
 from .logic.parser import parse_request
@@ -883,6 +883,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # A kernel deeper than Python's stack (the batch service's
+        # resource-limit row); the process exits, so no kernel survives.
+        print(f"error: {recursion_limit_message()}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly.

@@ -1,11 +1,13 @@
 """Built-in query kinds and the shared execution helpers.
 
 Each kind's hooks were extracted verbatim from the former per-kind
-``if``/``elif`` chains in :mod:`repro.service.batch` (PR 2-8), so the
-service layer's behaviour — messages, result shapes, promotion rules —
-is unchanged; the chains are gone.  :func:`run_query` is the single
-dispatch path shared by :meth:`repro.checker.engine.ModelChecker.execute`
-and the batch evaluator.
+``if``/``elif`` chains in :mod:`repro.service.batch`, so the service
+layer's behaviour — messages, result shapes, promotion rules — is
+unchanged; the chains are gone.  :func:`execute_kind` is the one
+dispatch point; the batch evaluator
+(:meth:`repro.service.batch.BatchAnalyzer._evaluate`) is its only
+caller, and :meth:`repro.checker.engine.ModelChecker.execute` answers
+through that evaluator too.
 
 Module-level imports stay below the checker/service layers (logic, BDD
 kernel, errors) so the registry can be consulted from anywhere; the
@@ -14,27 +16,19 @@ hooks import the heavier machinery lazily at call time.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import List, Mapping, Optional
 
 from ..bdd.allsat import path_sets
-from ..bdd.quantify import is_satisfiable, is_tautology
-from ..errors import LogicError, QuerySpecError, ReproError, error_kind
+from ..errors import QuerySpecError
 from ..logic.ast_nodes import (
     MCS,
     MPS,
-    SUP,
     Atom,
-    Exists,
-    Forall,
     Formula,
-    IDP,
     ProbabilityQuery,
-    Query,
     Statement,
     Synthesize,
 )
-from ..logic.parser import format_statement, parse_request
 from .registry import QueryKind, QueryKindRegistry, ResultFields
 
 #: The process-wide registry every entry point consults.
@@ -441,109 +435,3 @@ def resolve_kind(spec, statement) -> QueryKind:
 def execute_kind(session, spec, statement) -> ResultFields:
     """Promote + execute: the one dispatch point for every entry path."""
     return resolve_kind(spec, statement).execute(session, spec, statement)
-
-
-class CheckerSession:
-    """Adapter giving a bare :class:`ModelChecker` the session surface
-    the execute hooks expect (``checker`` / ``tree`` / ``parse`` /
-    ``prob_checker``), so one-shot :meth:`ModelChecker.execute` calls
-    run the exact same hook code as the batch service."""
-
-    def __init__(
-        self,
-        checker,
-        probabilities: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        self.checker = checker
-        self._prob_overrides: Dict[str, float] = dict(probabilities or {})
-        self._prob_checker = None
-
-    @property
-    def tree(self):
-        return self.checker.tree
-
-    def parse(self, formula) -> Statement:
-        if not isinstance(formula, str):
-            return formula
-        statement, _ = parse_request(formula.strip())
-        return statement
-
-    def prob_checker(self):
-        if self._prob_checker is None:
-            from ..prob.queries import ProbabilityChecker
-
-            self._prob_checker = ProbabilityChecker(
-                overrides=self._prob_overrides,
-                translator=self.checker.translator,
-            )
-        return self._prob_checker
-
-
-def run_query(session, spec):
-    """Answer one spec against a session, as a ``QueryResult``.
-
-    This is the governance-free core dispatch (parse -> promote ->
-    execute -> shape); the batch evaluator adds per-query governors,
-    chaos hooks and kernel checkpoints around the same hooks.
-    """
-    from ..service.queries import QueryResult
-
-    start = time.perf_counter()
-    fields: ResultFields = {}
-    formula_text: Optional[str] = None
-    error: Optional[str] = None
-    kind_tag: Optional[str] = None
-    try:
-        statements = statements_for(spec, session)
-        statement = statements[0] if statements else None
-        formula_text = (
-            format_statement(statement) if statement is not None else None
-        )
-        fields = execute_kind(session, spec, statement)
-    except ReproError as exc:
-        error = str(exc)
-        kind_tag = error_kind(exc)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return QueryResult(
-        id=spec.id,
-        kind=spec.kind,
-        tree=spec.tree,
-        formula=formula_text,
-        ok=error is None,
-        elapsed_ms=elapsed_ms,
-        error=error,
-        error_kind=kind_tag,
-        **fields,
-    )
-
-
-def check_statement(checker, query: Query) -> bool:
-    """Layer-2 truth of ``query`` for :meth:`ModelChecker.check`.
-
-    The statement-type dispatch the checker facade shares with the
-    registry's ``check`` kind (which reaches it via ``checker.check``).
-    """
-    translator = checker.translator
-    manager = translator.manager
-    if isinstance(query, Exists):
-        return is_satisfiable(manager, translator.bdd(query.operand))
-    if isinstance(query, Forall):
-        return is_tautology(manager, translator.bdd(query.operand))
-    if isinstance(query, IDP):
-        return checker.independence(query.left, query.right).independent
-    if isinstance(query, SUP):
-        return checker.independence(
-            Atom(query.element), Atom(checker.tree.top)
-        ).independent
-    if isinstance(query, Synthesize):
-        # SYNTHESIZE as a plain check asks "is the property achievable
-        # at all" — satisfiability of the target formula.
-        return is_satisfiable(manager, translator.bdd(query.formula))
-    if isinstance(query, ProbabilityQuery):
-        raise LogicError(
-            "probabilistic queries need failure probabilities; use "
-            "repro.prob.ProbabilityChecker (sharing this checker's "
-            "translator) or the batch service's probability "
-            "configuration"
-        )
-    raise TypeError(f"cannot check {query!r}")

@@ -8,6 +8,8 @@ specific subclass that applies; the hierarchy mirrors the package layout
 
 from __future__ import annotations
 
+import sys
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -52,6 +54,15 @@ class ResourceLimitError(ExecutionError):
     """A governed operation exceeded its node or apply-step budget."""
 
     kind = "resource-limit"
+
+
+def recursion_limit_message() -> str:
+    """What a BDD operation deeper than Python's stack reports (a batch
+    ``resource-limit`` row, or the ``bfl`` CLI's error line)."""
+    return (
+        "a BDD operation recursed past Python's recursion limit "
+        f"({sys.getrecursionlimit()})"
+    )
 
 
 class QueryDeadlineError(ExecutionError):

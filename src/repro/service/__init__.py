@@ -41,7 +41,7 @@ Quickstart::
 from .batch import AnalysisSession, BatchAnalyzer, kernel_key, tree_fingerprint
 from .options import AnalysisOptions
 from .parallel import Shard, estimate_cost, plan_shards
-from .pool import SessionPool, build_session
+from .pool import SessionPool
 from .queries import BatchReport, QueryResult, QuerySpec, specs_from_any
 from .server import AnalysisServer, ServerConfig, TokenBucket
 from .store import SnapshotStore
@@ -59,7 +59,6 @@ __all__ = [
     "Shard",
     "SnapshotStore",
     "TokenBucket",
-    "build_session",
     "estimate_cost",
     "kernel_key",
     "plan_shards",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import sys
 import time
 import weakref
 from dataclasses import replace
@@ -41,7 +40,9 @@ from ..errors import (
     ResourceLimitError,
     ReproError,
     SnapshotError,
+    SnapshotIntegrityError,
     error_kind,
+    recursion_limit_message,
 )
 from ..runtime.limits import Governor
 from ..ft.galileo import dumps as galileo_dumps
@@ -118,7 +119,12 @@ def kernel_key(tree: FaultTree) -> str:
 
 
 class AnalysisSession:
-    """Persistent per-scenario state: one tree, one checker, one manager.
+    """Persistent per-scenario state: one tree, one checker, its caches.
+
+    The only session type: batteries, worker processes, the server's
+    pool and :meth:`ModelChecker.execute` all answer through one.  A
+    variant session (:meth:`fork_variant`) has its own checker on its
+    base session's BDD manager, so several sessions may share a kernel.
 
     Attributes:
         name: Scenario name.
@@ -133,34 +139,37 @@ class AnalysisSession:
         options: Optional[AnalysisOptions] = None,
         probabilities: Optional[Mapping[str, float]] = None,
         snapshot: Optional[Mapping[str, Any]] = None,
-        manager: Optional[BDDManager] = None,
+        checker: Optional[ModelChecker] = None,
     ) -> None:
         self.name = name
         #: The analysis settings this session's kernel was built under
         #: (only the kernel fields matter here; ``probabilities`` below
         #: are the scenario's already-resolved overrides).
         self.options = options if options is not None else AnalysisOptions()
-        # Warm start: rebuild the kernel from a portable snapshot and
-        # drop its element roots straight into the tree-translation
-        # cache, so the session never re-runs Psi_FT for the tree.
-        # Alternatively a caller may pass an existing ``manager`` to
-        # share a live kernel (the copy-on-write fork_variant path).
-        if snapshot is not None and manager is not None:
-            raise SnapshotError(
-                "pass either a snapshot or a live manager, not both"
-            )
-        adopted = None
-        if snapshot is not None:
-            manager, adopted = BDDManager.load_snapshot(snapshot)
         #: Name of the session this one was forked from (None for base
         #: sessions) and the edit script that produced it.
         self.variant_of: Optional[str] = None
         self.edits: Tuple[Any, ...] = ()
-        self.checker = ModelChecker(
-            tree, manager=manager, **self.options.checker_kwargs()
-        )
-        if adopted:
-            self.checker.translator.tree_translator.adopt(adopted)
+        # A caller may pass a live ``checker`` over ``tree`` to wrap (the
+        # copy-on-write fork_variant path and ModelChecker.execute).
+        if snapshot is not None and checker is not None:
+            raise SnapshotError(
+                "pass either a snapshot or a live checker, not both"
+            )
+        if checker is None:
+            manager = adopted = None
+            if snapshot is not None:
+                # Warm start: rebuild the kernel from a portable snapshot
+                # and drop its element roots straight into the
+                # tree-translation cache, so the session never re-runs
+                # Psi_FT for the tree.
+                manager, adopted = BDDManager.load_snapshot(snapshot)
+            checker = ModelChecker(
+                tree, manager=manager, **self.options.checker_kwargs()
+            )
+            if adopted:
+                checker.translator.tree_translator.adopt(adopted)
+        self.checker = checker
         #: :meth:`kernel_state` when the kernel last matched its store
         #: entry: right after a snapshot warm start, or when the session
         #: pool last wrote it (None: never, e.g. a cold build).
@@ -325,7 +334,11 @@ class AnalysisSession:
             new_tree,
             self.options,
             probabilities=overrides,
-            manager=self.checker.manager,
+            checker=ModelChecker(
+                new_tree,
+                manager=self.checker.manager,
+                **self.options.checker_kwargs(),
+            ),
         )
         child.variant_of = self.name
         child.edits = tuple(edit_list)
@@ -612,25 +625,33 @@ class BatchAnalyzer:
         return snapshot["kernel"]
 
     def _build_session(self, name: str) -> AnalysisSession:
-        # The warm-start / degrade-to-cold protocol lives in
-        # repro.service.pool.build_session so the analysis server's
-        # session pool and one-shot batteries share it by construction.
-        from .pool import build_session
-
+        """Build scenario ``name``'s session, warm-starting from its
+        snapshot.  A snapshot that fails its integrity check must not
+        kill the battery: it is only an accelerator, so the failure is
+        logged, kept as a structured warning for
+        ``report.stats["warnings"]``, the entry is forgotten (a corrupt
+        entry is never retried) and the session is rebuilt cold."""
         tree = self._trees[name]
         snapshot = self._validated_kernel(name, tree)
-        session, warm = build_session(
-            name,
-            tree,
-            self.options,
-            probabilities=self.options.overrides_for(name, tree),
-            snapshot=snapshot,
-            warnings=self._warnings,
-        )
-        if snapshot is not None and not warm:
-            # A corrupt cache entry must not be retried on the next
-            # (lazy) build of this scenario.
-            self._snapshots.pop(name, None)
+        probabilities = self.options.overrides_for(name, tree)
+        session = None
+        if snapshot is not None:
+            try:
+                session = AnalysisSession(
+                    name, tree, self.options, probabilities, snapshot
+                )
+            except SnapshotIntegrityError as exc:
+                message = (
+                    f"scenario {name!r}: kernel snapshot failed its "
+                    f"integrity check ({exc}); rebuilding from the tree"
+                )
+                logger.warning("%s", message)
+                self._warnings.append(
+                    {"scenario": name, "kind": exc.kind, "message": message}
+                )
+                self._snapshots.pop(name, None)
+        if session is None:
+            session = AnalysisSession(name, tree, self.options, probabilities)
         self._sessions[name] = session
         return session
 
@@ -1061,8 +1082,7 @@ class BatchAnalyzer:
                 if session.checker.manager is manager:
                     del self._sessions[other]
         return (
-            f"scenario {name!r}: a BDD operation recursed past Python's "
-            f"recursion limit ({sys.getrecursionlimit()})",
+            f"scenario {name!r}: {recursion_limit_message()}",
             ResourceLimitError.kind,
         )
 

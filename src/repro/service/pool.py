@@ -1,31 +1,22 @@
 """Session pooling: the warm tier between one-shot batteries and `bfl serve`.
 
-This module owns the piece of per-scenario session lifecycle that
-used to live inline in :class:`~repro.service.batch.BatchAnalyzer` and
-that the analysis server (:mod:`repro.service.server`) needs on its own
-terms:
-
-* :func:`build_session` — snapshot warm start with the degrade-to-cold
-  protocol: a corrupt kernel snapshot is only an accelerator, so it is
-  logged, reported as a structured warning, and the session is rebuilt
-  from the tree.
-
-:class:`BatchAnalyzer` delegates to it, so one-shot batteries and the
-server share byte-identical behaviour by construction.
-
-On top of those sits :class:`SessionPool`, the server's LRU tier of live
-:class:`~repro.service.batch.AnalysisSession`s.  Pool keys are opaque
-strings — the server uses ``<tree-fingerprint>`` for plain scenarios and
-``<tree-fingerprint>:<overrides-digest>`` when a request carries its own
-probability overrides (the kernel is overrides-independent, but a
-session's PFL answers are not).  Entries carry the tree fingerprint
-separately so an evicted session can be persisted into a
-:class:`~repro.service.store.SnapshotStore` under its content address:
-eviction demotes a scenario from the hot tier (live kernel) to the warm
-tier (kernel snapshot on disk), from which the next request rewarms it
-via ``load_snapshot`` instead of a cold rebuild.  A session whose kernel
-is unchanged since it was loaded from, or last written to, its store
-entry is dropped without a write: the warm tier already holds it.
+This module holds :class:`SessionPool`, the server's LRU tier of live
+:class:`~repro.service.batch.AnalysisSession`s.  Sessions are built (a
+corrupt snapshot degrading to a cold build) by
+:class:`~repro.service.batch.BatchAnalyzer`, the one construction path
+for batteries, worker processes and the server's per-request analyzers.
+Pool keys are opaque strings — the server uses ``<tree-fingerprint>``
+for plain scenarios and ``<tree-fingerprint>:<overrides-digest>`` when a
+request carries its own probability overrides (the kernel is
+overrides-independent, but a session's PFL answers are not).  Entries
+carry the tree fingerprint separately so an evicted session can be
+persisted into a :class:`~repro.service.store.SnapshotStore` under its
+content address: eviction demotes a scenario from the hot tier (live
+kernel) to the warm tier (kernel snapshot on disk), from which the next
+request rewarms it via ``load_snapshot`` instead of a cold rebuild.  A
+session whose kernel is unchanged since it was loaded from, or last
+written to, its store entry is dropped without a write: the warm tier
+already holds it.
 
 Pinning makes the pool safe under concurrency: a battery pins every
 session it evaluates against, and pinned entries are never evicted or
@@ -39,18 +30,14 @@ import hashlib
 import json
 import logging
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
-from ..ft.tree import FaultTree
-from ..errors import SnapshotIntegrityError
 from .batch import AnalysisSession
-from .options import AnalysisOptions
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "SessionPool",
-    "build_session",
     "overrides_digest",
 ]
 
@@ -63,52 +50,6 @@ def overrides_digest(overrides: Mapping[str, float]) -> str:
         {str(k): float(v) for k, v in overrides.items()}, sort_keys=True
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def build_session(
-    name: str,
-    tree: FaultTree,
-    options: Optional[AnalysisOptions] = None,
-    *,
-    probabilities: Optional[Mapping[str, float]] = None,
-    snapshot: Optional[Mapping[str, Any]] = None,
-    warnings: Optional[List[Dict[str, str]]] = None,
-) -> Tuple[AnalysisSession, bool]:
-    """Build one scenario session, warm-starting from ``snapshot``.
-
-    ``options`` carries the kernel settings and ``probabilities`` the
-    scenario's resolved overrides
-    (:meth:`~repro.service.options.AnalysisOptions.overrides_for`).
-    Returns ``(session, warm)`` where ``warm`` says whether the snapshot
-    actually seeded the kernel.  A snapshot that fails its integrity
-    check must not kill the battery: the snapshot is only an
-    accelerator, so the failure is logged, appended to ``warnings`` as a
-    structured row (the shape ``report.stats["warnings"]`` surfaces),
-    and the session is rebuilt cold from the tree.
-    """
-    if snapshot is not None:
-        try:
-            return (
-                AnalysisSession(
-                    name, tree, options, probabilities, snapshot=snapshot
-                ),
-                True,
-            )
-        except SnapshotIntegrityError as exc:
-            message = (
-                f"scenario {name!r}: kernel snapshot failed its "
-                f"integrity check ({exc}); rebuilding from the tree"
-            )
-            logger.warning("%s", message)
-            if warnings is not None:
-                warnings.append(
-                    {
-                        "scenario": name,
-                        "kind": exc.kind,
-                        "message": message,
-                    }
-                )
-    return AnalysisSession(name, tree, options, probabilities), False
 
 
 class _Entry:

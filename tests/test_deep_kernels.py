@@ -14,6 +14,9 @@ import sys
 import pytest
 
 from repro.bdd import BDDManager
+from repro.checker import ModelChecker
+from repro.cli import main
+from repro.errors import recursion_limit_message
 from repro.ft import dumps, loads
 from repro.service import BatchAnalyzer
 
@@ -42,7 +45,7 @@ def deep_tree(n=None):
 def check_rows(rows, n):
     deep, chain, mcs = rows
     assert (deep["ok"], deep["error_kind"]) == (False, "resource-limit")
-    assert "recursion limit" in deep["error"]
+    assert deep["error"].endswith(recursion_limit_message())
     assert (chain["ok"], chain["holds"]) == (True, True)
     assert mcs["ok"]
     (cut_set,) = mcs["sets"]
@@ -57,6 +60,31 @@ def test_batch_analyzer_answers_with_a_resource_limit_row():
         report = analyzer.run([dict(q, tree="s") for q in BATTERY])
         check_rows(report.to_dict()["results"], n)
         analyzer.sessions["s"].checker.manager.check_invariants()
+
+
+def test_model_checker_execute_answers_like_the_batch():
+    tree = deep_tree()
+    checker = ModelChecker(tree)
+    rows = [checker.execute(q).to_dict() for q in BATTERY]
+    check_rows(rows, len(tree.basic_events) // 2)
+    batch = BatchAnalyzer(tree).run(BATTERY).to_dict()["results"]
+    for row in rows + batch:
+        del row["elapsed_ms"]
+    assert rows == batch
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "exists T"],
+    ["allsat", "T"],
+    ["mcs"],
+    ["mps"],
+    ["cex", "T", "--failed", "a0"],
+])
+def test_cli_prints_the_recursion_limit_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.dft"
+    path.write_text(dumps(deep_tree()))
+    assert main([argv[0], "--tree", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {recursion_limit_message()}\n"
 
 
 def broken(manager):

@@ -240,7 +240,12 @@ class TestDispatchParity:
     def test_all_entry_paths_agree(self, tmp_path):
         tree = build_covid_tree()
         probabilities = {name: 0.1 for name in tree.basic_events}
-        battery = [PARITY_QUERIES[name] for name in REGISTRY.names()]
+        valid = [PARITY_QUERIES[name] for name in REGISTRY.names()]
+        # Error rows too: a parse error, and an element the tree lacks.
+        battery = valid + [
+            {"id": "q-syntax", "formula": "exists ((("},
+            {"id": "q-unknown", "formula": "exists NOPE"},
+        ]
 
         checker = ModelChecker(tree)
         facade = [
@@ -251,7 +256,12 @@ class TestDispatchParity:
         sequential = BatchAnalyzer(tree, probabilities=probabilities).run(
             battery
         )
-        assert sequential.ok, [r.error for r in sequential.results]
+        assert all(r.ok for r in sequential.results[: len(valid)]), [
+            r.error for r in sequential.results
+        ]
+        assert [r.error_kind for r in sequential.results[len(valid):]] == [
+            "BFLSyntaxError", "LogicError"
+        ]
         seq_rows = [_strip(r.to_dict()) for r in sequential.results]
 
         sharded = BatchAnalyzer(
@@ -267,7 +277,8 @@ class TestDispatchParity:
             encoding="utf-8",
         )
         out = tmp_path / "report.json"
-        assert main(["batch", str(query_file), "--output", str(out)]) == 0
+        # Exit 1: the battery holds failing queries.
+        assert main(["batch", str(query_file), "--output", str(out)]) == 1
         report = json.loads(out.read_text(encoding="utf-8"))
         cli_rows = [_strip(row) for row in report["results"]]
 

@@ -12,8 +12,13 @@ import pytest
 
 from repro.ft import figure1_tree
 from repro.errors import SnapshotError
-from repro.service import AnalysisSession, SnapshotStore, kernel_key
-from repro.service.pool import SessionPool, build_session
+from repro.service import (
+    AnalysisSession,
+    BatchAnalyzer,
+    SnapshotStore,
+    kernel_key,
+)
+from repro.service.pool import SessionPool
 from repro.testing.chaos import corrupt_store_entry
 
 
@@ -134,14 +139,14 @@ class TestEvictionWrites:
     def test_snapshot_degraded_to_cold_always_writes(self, store, covid):
         seed(store, covid)
         corrupt_store_entry(store, kernel_key(covid), seed=3)
-        warnings = []
-        session, warm = build_session(
-            "s",
-            covid,
-            snapshot=store.get(kernel_key(covid))["kernel"],
-            warnings=warnings,
+        analyzer = BatchAnalyzer(
+            covid, snapshots={"default": store.get(kernel_key(covid))}
         )
-        assert not warm and warnings
+        report = analyzer.run([f"exists {covid.top}"])
+        assert [w["kind"] for w in report.stats["warnings"]] == [
+            "snapshot-integrity"
+        ]
+        session = analyzer.session()
         assert session.stored_state is None
         pool = SessionPool(1, store=store)
         assert evict(pool, "covid", session, covid) == (1, 1)
