@@ -25,7 +25,10 @@ code is non-zero iff any gate failed.
 from __future__ import annotations
 
 import argparse
+import ast
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import time
@@ -266,6 +269,74 @@ def src_lines() -> int:
     )
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = getattr(target, "attr", getattr(target, "id", ""))
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _class_parameters(node: ast.ClassDef) -> int:
+    """Dataclass fields plus named ``__init__`` parameters (``self``,
+    ``*args`` and ``**kwargs`` aside) of one class."""
+    count = 0
+    if _is_dataclass(node):
+        count += sum(
+            1
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and "ClassVar" not in ast.unparse(stmt.annotation)
+        )
+    for stmt in node.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            args = stmt.args
+            count += (
+                len(args.posonlyargs) + len(args.args) - 1
+                + len(args.kwonlyargs)
+            )
+    return count
+
+
+def config_surface() -> str:
+    """``F/C/E/P``: ``AnalysisOptions`` fields, CLI flags over every
+    ``bfl`` sub-command, ``REPRO_*`` environment variables named in
+    ``src/``, and constructor parameters plus dataclass fields of the
+    classes in ``src/``."""
+    src = HERE.parent / "src"
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    from repro.cli import build_parser
+    from repro.service.options import AnalysisOptions
+
+    commands = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = sum(
+        1
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if action.option_strings
+        and not isinstance(action, argparse._HelpAction)
+    )
+    env_vars = set()
+    parameters = 0
+    for path in src.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        env_vars.update(re.findall(r"REPRO_[A-Z0-9_]+", text))
+        parameters += sum(
+            _class_parameters(node)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.ClassDef)
+        )
+    fields = len(dataclasses.fields(AnalysisOptions))
+    return f"{fields}/{flags}/{len(env_vars)}/{parameters}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="run the declarative benchmark-gate table"
@@ -335,8 +406,10 @@ def main(argv=None) -> int:
         print(f"{failed} of {len(outcomes)} gates FAILED")
     else:
         print(f"all {len(outcomes)} gates passed")
-    # Informational, no floor: the source size next to the timings.
+    # Informational, no floor: the source size and the configuration
+    # surface next to the timings.
     print(f"src/ lines: {src_lines()}")
+    print(f"config surface: {config_surface()}")
     return 1 if failed else 0
 
 

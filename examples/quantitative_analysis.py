@@ -16,12 +16,12 @@ Run with:  python examples/quantitative_analysis.py
 """
 
 from repro.casestudy import BASIC_EVENT_DESCRIPTIONS, build_covid_tree
+from repro.logic import parse
 from repro.prob import (
     ProbabilityChecker,
     enumeration_probability,
     importance_table,
     min_cut_upper_bound,
-    parse_prob_query,
     rare_event_approximation,
     render_importance_table,
 )
@@ -67,10 +67,9 @@ def main():
         "P(MCS(IWoS) & H4) <= 0.0001",   # H4-involving minimal cuts are rare
     ]
     for text in queries:
-        query = parse_prob_query(text)
-        value = checker.probability(query.formula)
-        verdict = checker.check(query)
-        print(f"   {text:35} P = {value:.6g}  -> {'holds' if verdict else 'fails'}")
+        outcome = checker.evaluate(parse(text))
+        verdict = "holds" if outcome.holds else "fails"
+        print(f"   {text:35} P = {outcome.value:.6g}  -> {verdict}")
     print()
 
     print("Conditional risk (evidence lifted to probabilities):")

@@ -92,9 +92,8 @@ class ModelChecker:
         manager: Optional[BDDManager] = None,
     ) -> None:
         self.tree = tree
-        self.translator = FormulaTranslator(
-            tree,
-            manager=manager,
+        # Kept so execute() can rebuild the translator on a fresh kernel.
+        self._settings = dict(
             scope=scope,
             order=order,
             auto_gc=auto_gc,
@@ -102,6 +101,12 @@ class ModelChecker:
             gc_trigger=gc_trigger,
             reorder_trigger=reorder_trigger,
         )
+        self.translator = FormulaTranslator(
+            tree, manager=manager, **self._settings
+        )
+        # The AnalysisSession execute() answers through (its parse cache
+        # and prob checker stay warm across calls with equal weights).
+        self._session = None
 
     # ------------------------------------------------------------------
     # Input normalisation
@@ -333,7 +338,9 @@ class ModelChecker:
         spec runs through the batch pipeline's parse, translate and
         evaluate phases on a session wrapping this checker, so its
         translation caches are reused and the row matches the batch row
-        field for field (``elapsed_ms`` aside).
+        field for field (``elapsed_ms`` aside).  The session, with its
+        parse cache, is kept for the next call with equal
+        ``probabilities``.
 
         Args:
             query: A :class:`repro.service.QuerySpec`, a JSON-style
@@ -349,14 +356,28 @@ class ModelChecker:
         from ..service.queries import specs_from_any
 
         (spec,) = specs_from_any([query])
+        overrides = dict(probabilities or {})
+        session = self._session
+        if (
+            session is None
+            or session.name != spec.tree
+            or session._prob_overrides != overrides
+        ):
+            session = AnalysisSession(
+                spec.tree, self.tree, probabilities=overrides, checker=self
+            )
         analyzer = BatchAnalyzer({spec.tree: self.tree})
-        analyzer.adopt_session(
-            spec.tree,
-            AnalysisSession(
-                spec.tree, self.tree, probabilities=probabilities, checker=self
-            ),
-        )
-        return analyzer.run([spec]).results[0]
+        analyzer.adopt_session(spec.tree, session)
+        result = analyzer.run([spec]).results[0]
+        if analyzer.sessions.get(spec.tree) is session:
+            self._session = session
+        else:
+            # A deep-recursion abort dropped this checker's kernel (it
+            # failed check_invariants, or always under ``python -O``):
+            # answer the next call on a fresh one.
+            self.translator = FormulaTranslator(self.tree, **self._settings)
+            self._session = None
+        return result
 
     # ------------------------------------------------------------------
     # Introspection

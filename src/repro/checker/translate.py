@@ -23,7 +23,7 @@ cache in case they are used several times").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..bdd.manager import BDDManager
 from ..bdd.minimal import maximal_solutions, minimal_solutions
@@ -101,17 +101,6 @@ class FormulaTranslator:
     ) -> None:
         if manager is None:
             manager = BDDManager(resolve_order(tree, order))
-        else:
-            # Caller-provided manager: declare whatever basic events it is
-            # missing (a variant fork may add events to a shared kernel).
-            # Extra levels it already has (e.g. the primed twins of a
-            # kernel saved by an older build) are simply never used.
-            declared = set(manager.variables)
-            missing = [
-                name for name in tree.basic_events if name not in declared
-            ]
-            if missing:
-                manager.declare(*missing)
         arm_gc = auto_gc or gc_trigger is not None
         arm_reorder = auto_reorder or reorder_trigger is not None
         if arm_gc or arm_reorder:
@@ -191,41 +180,6 @@ class FormulaTranslator:
         raise TypeError(f"cannot translate {formula!r}")
 
     # ------------------------------------------------------------------
-    # Incremental update (the variant-sweep delta path)
-    # ------------------------------------------------------------------
-
-    def rebase(self, new_tree: FaultTree) -> frozenset:
-        """Retarget the translator at an edited tree in place.
-
-        Delegates the structural diff to
-        :meth:`repro.ft.to_bdd.TreeTranslator.rebase` (unchanged element
-        BDDs survive), then evicts exactly the formula-cache entries the
-        edit can affect: formulae mentioning a dirty element, and — when
-        the basic-event set itself changed — formulae containing MCS/MPS
-        (whose minimality scope quantifies over the events) or evidence
-        (whose targets are validated against the event set).  Everything
-        else keeps answering from cache, which is what makes a what-if
-        sweep on a warm session nearly free.
-
-        Returns:
-            The dirty element names.
-        """
-        if new_tree is self.tree:
-            return frozenset()
-        be_changed = set(self.tree.basic_events) != set(
-            new_tree.basic_events
-        )
-        dirty = self.tree_translator.rebase(new_tree)
-        self.tree = new_tree
-        for formula in [
-            f
-            for f in self._cache
-            if _affected(f, dirty, be_changed)
-        ]:
-            del self._cache[formula]
-        return dirty
-
-    # ------------------------------------------------------------------
 
     def _element(self, name: str) -> Ref:
         if name not in self.tree:
@@ -265,56 +219,3 @@ class FormulaTranslator:
     def support(self, formula: Formula) -> frozenset:
         """``VarB(BT(formula))`` — used by IDP/SUP and the engine."""
         return frozenset(self.manager.support(self.bdd(formula)))
-
-    def probability(
-        self, formula: Formula, weights: Mapping[str, float]
-    ) -> float:
-        """``P[[formula]]`` under independent per-event weights.
-
-        The PFL lowering path: Algorithm 1 translates the formula onto
-        kernel edges (through this translator's cache), then the
-        manager's iterative weighted-evaluation pass measures the result
-        — so probabilistic and qualitative queries share every BDD and
-        both manager-level caches.
-        """
-        return self.manager.probability(self.bdd(formula), weights)
-
-
-def _affected(
-    formula: Formula, dirty: frozenset, be_changed: bool
-) -> bool:
-    """Can an edit with this dirty set change ``BT(formula)``?
-
-    Conservative syntactic test used by :meth:`FormulaTranslator.rebase`:
-    True when the formula mentions a dirty element, or (with a changed
-    basic-event set) contains an operator whose semantics quantify over
-    or validate against the event universe (MCS/MPS, evidence).
-    """
-    stack: List[Formula] = [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Atom):
-            if node.name in dirty:
-                return True
-        elif isinstance(node, Constant):
-            pass
-        elif isinstance(node, (MCS, MPS)):
-            if be_changed:
-                return True
-            stack.append(node.operand)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        elif isinstance(node, (And, Or, Implies, Equiv, NotEquiv)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Evidence):
-            if be_changed:
-                return True
-            if any(name in dirty for name, _ in node.assignments):
-                return True
-            stack.append(node.operand)
-        elif isinstance(node, Vot):
-            stack.extend(node.operands)
-        else:
-            return True  # Unknown node kind: never keep a stale entry.
-    return False

@@ -25,11 +25,9 @@ from .edits import (
     SubtreeReplace,
     WeightChange,
     apply_edits,
-    changed_elements,
     changed_elements_from_edits,
     edit_from_dict,
     edits_from_any,
-    signatures,
     splice_site,
 )
 from .elements import BasicEvent, Gate, GateType
@@ -64,7 +62,6 @@ __all__ = [
     "TreeTranslator",
     "WeightChange",
     "apply_edits",
-    "changed_elements",
     "changed_elements_from_edits",
     "dual_tree",
     "dump",
@@ -91,7 +88,6 @@ __all__ = [
     "minimal_path_sets_enum",
     "minimize_sets",
     "random_tree",
-    "signatures",
     "splice_site",
     "simplification_stats",
     "simplify",

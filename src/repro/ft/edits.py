@@ -7,15 +7,15 @@ round-trip, so variant definitions can live in query files next to the
 queries they parameterise (``bfl batch --variants``).
 
 :func:`apply_edits` materialises the edited :class:`FaultTree`;
-:func:`signatures`/:func:`changed_elements` compute which elements'
-structure functions actually changed, which is what the incremental
-translator (:meth:`repro.ft.to_bdd.TreeTranslator.rebase`) uses to keep
-every untouched ``Psi_FT`` BDD instead of rebuilding the kernel.
+:func:`changed_elements_from_edits` reads off the edit script which
+elements' structure functions may have changed, and :func:`splice_site`
+finds the one subtree that absorbs them, if any.  A variant fork
+(:meth:`repro.service.batch.AnalysisSession.fork_variant`) uses both to
+keep every untouched ``Psi_FT`` BDD instead of rebuilding the kernel.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -386,104 +386,31 @@ def _reachable(
 
 
 # ----------------------------------------------------------------------
-# Structural diffing (what the incremental translator keys on)
+# Structural diffing (what a variant fork keys on)
 # ----------------------------------------------------------------------
 
 Signature = Tuple[Any, ...]
 
 
-def signatures(tree: FaultTree) -> Dict[str, Signature]:
-    """Hashable structural signature of every element's structure function.
-
-    A basic event's signature is its name; a gate's is its connective,
-    threshold and (recursively) its children's signatures.  Two elements
-    with equal signatures denote the same Boolean function over the same
-    leaves, so a cached ``Psi_FT`` BDD keyed on an unchanged signature
-    stays valid across an edit.  Failure probabilities are deliberately
-    excluded — weight changes never invalidate structure.
-    """
-    memo: Dict[str, Signature] = {}
-    for root in tree.elements:
-        if root in memo:
-            continue
-        stack: List[Tuple[str, bool]] = [(root, False)]
-        while stack:
-            name, expanded = stack.pop()
-            if name in memo:
-                continue
-            if tree.is_basic(name):
-                memo[name] = ("be", name)
-                continue
-            if not expanded:
-                stack.append((name, True))
-                for child in tree.children(name):
-                    if child not in memo:
-                        stack.append((child, False))
-                continue
-            gate = tree.gate(name)
-            memo[name] = (
-                gate.gate_type.value,
-                gate.threshold,
-                tuple(memo[child] for child in gate.children),
-            )
-    return memo
-
-
-def changed_elements(old: FaultTree, new: FaultTree) -> FrozenSet[str]:
-    """Element names whose structure function may differ between trees.
-
-    Includes names present in only one of the trees.  The guarantee is
-    one-directional and that is the direction caches need: an element
-    *not* in this set has an identical signature in both trees, so any
-    BDD computed for it against ``old`` answers for ``new`` as well.
-
-    Computed as a *local-record* diff propagated through parent edges —
-    an element is dirty iff its own record changed or some descendant's
-    did — which is O(elements) with cheap shallow tuples, where the
-    full :func:`signatures` comparison rebuilds deep nested tuples for
-    every element on every call.  (The record diff is conservative only
-    in one contrived corner: renaming a child to a structurally
-    identical twin dirties the parent although its deep signature is
-    unchanged.  Treating it as dirty merely re-lowers a cached entry.)
-    """
-    old_records = _records(old)
-    new_records = _records(new)
-    changed = set(old_records.keys() ^ new_records.keys())
-    for name in old_records.keys() & new_records.keys():
-        if old_records[name] != new_records[name]:
-            changed.add(name)
-    # Dirtiness propagates to every ancestor (in whichever tree the
-    # parent edge exists; on record-unchanged elements the edges agree).
-    stack = list(changed)
-    while stack:
-        name = stack.pop()
-        for tree in (old, new):
-            if name in tree:
-                for parent in tree.parents(name):
-                    if parent not in changed:
-                        changed.add(parent)
-                        stack.append(parent)
-    return frozenset(changed)
-
-
 def changed_elements_from_edits(
     old: FaultTree, new: FaultTree, edits: Sequence[Any]
 ) -> FrozenSet[str]:
-    """:func:`changed_elements` read off the edit script that produced
-    ``new``, without building either tree's record table.
+    """Element names whose structure function may differ between ``old``
+    and ``new``, read off the edit script that produced ``new``.
 
-    The caches this feeds (see ``TreeTranslator.rebase``) only need the
-    one-directional guarantee, which holds here too: every element
-    whose local record an edit can touch is seeded — the edit's target
-    gate, plus every name present in only one of the trees (fragment
-    elements, added/removed events; parents of a removed event join
-    through the ancestor closure) — so an element outside the result is
-    record-identical in both trees.  The price of skipping the record
-    diff is mild over-approximation: a no-op edit (a ``GateSwap`` to
-    the connective the gate already has) dirties its target anyway,
-    which merely re-lowers a still-valid cache entry.  Cost is
-    O(edits + name sets + closure) instead of O(elements) record
-    construction — the difference a per-variant fork path cares about.
+    Includes names present in only one of the trees.  The guarantee is
+    one-directional and that is the direction caches need: every element
+    whose local record (connective, threshold, children by name) an edit
+    can touch is seeded — the edit's target gate, plus every name
+    present in only one of the trees (fragment elements, added/removed
+    events; parents of a removed event join through the ancestor
+    closure) — so an element outside the result has an identical
+    subtree in both trees, and any BDD computed for it against ``old``
+    answers for ``new`` as well.  The price is mild over-approximation:
+    a no-op edit (a ``GateSwap`` to the connective the gate already
+    has) dirties its target anyway, which merely re-lowers a still-valid
+    cache entry.  Cost is O(edits + name sets + closure), independent of
+    the tree's size.
     """
     edit_list = edits_from_any(edits)
     seeds: Set[str] = set()
@@ -499,8 +426,6 @@ def changed_elements_from_edits(
             seeds.add(edit.event)
         elif isinstance(edit, EventRemove):
             seeds.add(edit.event)
-        else:  # future edit types: fall back to the full diff
-            return changed_elements(old, new)
     old_names = set(old.basic_events) | set(old.gate_names)
     new_names = set(new.basic_events) | set(new.gate_names)
     changed = seeds | (old_names ^ new_names)
@@ -516,40 +441,9 @@ def changed_elements_from_edits(
     return frozenset(changed)
 
 
-#: Per-tree record tables.  FaultTree instances are immutable once
-#: validated, so the table is computed at most once per tree — a variant
-#: sweep forking hundreds of sessions off one base diffs that base for
-#: the price of one pass.  Weak keys keep discarded variant trees (and
-#: their tables) collectable.
-_RECORDS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _records(tree: FaultTree) -> Dict[str, Signature]:
-    """Every element's *local* record: its own definition, children by
-    name (the shallow counterpart of :func:`signatures`)."""
-    cached = _RECORDS_CACHE.get(tree)
-    if cached is not None:
-        return cached
-    table: Dict[str, Signature] = {
-        name: ("be", name) for name in tree.basic_events
-    }
-    for name in tree.gate_names:
-        gate = tree.gate(name)
-        table[name] = (gate.gate_type.value, gate.threshold, gate.children)
-    _RECORDS_CACHE[tree] = table
-    return table
-
-
 def _record(tree: FaultTree, name: str) -> Optional[Signature]:
-    """One element's local record (``None`` for names not in the tree).
-
-    Served from the memoised table when one exists, but never *builds*
-    the table: callers probing a handful of names (``splice_site`` on a
-    small dirty set) should stay O(names probed), not O(elements).
-    """
-    cached = _RECORDS_CACHE.get(tree)
-    if cached is not None:
-        return cached.get(name)
+    """One element's local record: its own definition, children by name
+    (``None`` for names not in the tree)."""
     if name not in tree:
         return None
     if tree.is_basic(name):
@@ -570,27 +464,22 @@ def _ancestors(tree: FaultTree, name: str) -> FrozenSet[str]:
 
 
 def splice_site(
-    old: FaultTree,
-    new: FaultTree,
-    dirty: Optional[FrozenSet[str]] = None,
+    old: FaultTree, new: FaultTree, dirty: FrozenSet[str]
 ) -> Optional[str]:
     """The unique element whose subtree absorbs the whole diff, if any.
 
-    When this returns a name ``X``, the two trees are identical outside
-    the subtree rooted at ``X``: every locally-redefined element lies
-    inside ``X``'s subtree and every other structurally-dirty element is
-    an (unchanged-record) ancestor of ``X``, dirty only transitively.
-    Then the new top equals the old *abstract* top with ``Psi(X)``
-    substituted for the placeholder — the precondition of
-    :meth:`repro.ft.to_bdd.TreeTranslator.splice`.  Returns ``None``
-    when the diff is empty or has no single covering site (callers fall
-    back to a plain rebase, which still reuses unchanged elements).
-
-    ``dirty`` takes a precomputed :func:`changed_elements` result so a
-    caller that already diffed the trees does not pay for it twice.
+    ``dirty`` is the :func:`changed_elements_from_edits` result for the
+    two trees.  When this returns a name ``X``, the two trees are
+    identical outside the subtree rooted at ``X``: every
+    locally-redefined element lies inside ``X``'s subtree and every
+    other dirty element is an (unchanged-record) ancestor of ``X``,
+    dirty only transitively.  Then the new top equals the old *abstract*
+    top with ``Psi(X)`` substituted for the placeholder — the
+    precondition of :meth:`repro.ft.to_bdd.TreeTranslator.splice`.
+    Returns ``None`` when the diff is empty or has no single covering
+    site (the fork then re-lowers the dirty elements, still reusing
+    every unchanged one).
     """
-    if dirty is None:
-        dirty = changed_elements(old, new)
     if not dirty:
         return None
     record_changed = {

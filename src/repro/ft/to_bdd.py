@@ -28,7 +28,6 @@ from ..bdd.manager import BDDManager
 from ..bdd.ordering import resolve_order
 from ..bdd.ref import Ref
 from ..errors import SnapshotError, VariableError
-from .edits import changed_elements
 from .elements import GateType
 from .tree import FaultTree
 
@@ -56,8 +55,7 @@ class TreeTranslator:
     translator needs is pinned by a cached Ref), so each :meth:`element`
     call ends with a :meth:`~repro.bdd.manager.BDDManager.checkpoint`;
     a no-op unless automatic GC/reordering was enabled on the manager
-    (e.g. via :func:`tree_to_bdd`'s ``auto_gc``/``auto_reorder`` knobs or
-    :meth:`~repro.bdd.manager.BDDManager.configure_memory`).
+    (:meth:`~repro.bdd.manager.BDDManager.configure_memory`).
     """
 
     def __init__(self, tree: FaultTree, manager: BDDManager) -> None:
@@ -68,14 +66,12 @@ class TreeTranslator:
         if missing:
             manager.declare(*missing)
         self._cache: Dict[str, Ref] = {}
-        #: Bumped on every change to the element memo (insert, adopt,
-        #: rebase pop), so equal generations mean equal
-        #: :meth:`export_cache` roots.  A count would not do: rebase can
-        #: pop entries that later re-translation puts back.
+        #: Bumped on every change to the element memo (insert, adopt),
+        #: so equal generations mean equal :meth:`export_cache` roots.
         self.generation = 0
         # site -> Psi(top) with the site's subtree abstracted into a
-        # placeholder variable (see abstract_root); invalidated whenever
-        # rebase changes any structure.
+        # placeholder variable (see abstract_root).  The tree never
+        # changes under a translator, so entries never go stale.
         self._abstract: Dict[str, Ref] = {}
 
     def element(self, name: str) -> Ref:
@@ -117,58 +113,6 @@ class TreeTranslator:
         if gate.gate_type is GateType.AND:
             return self.manager.conjoin(operands)
         return self.manager.threshold(operands, gate.threshold)
-
-    # ------------------------------------------------------------------
-    # Incremental update (the variant-sweep delta path)
-    # ------------------------------------------------------------------
-
-    def rebase(self, new_tree: FaultTree) -> FrozenSet[str]:
-        """Retarget the translator at an edited tree, keeping every
-        element BDD whose structure function is unchanged.
-
-        The kept entries are exactly the elements outside
-        :func:`repro.ft.edits.changed_elements` — their ``Psi_FT`` BDDs
-        denote the same Boolean function over the same leaves in both
-        trees, so the memo stays sound.  Dirty entries (and all memoised
-        abstract roots) are dropped and re-lowered lazily on the next
-        :meth:`element` call.
-
-        Returns:
-            The dirty element names (useful for invalidating downstream
-            formula caches keyed on these elements).
-        """
-        if new_tree is self.tree:
-            return frozenset()
-        dirty = changed_elements(self.tree, new_tree)
-        for name in dirty:
-            if self._cache.pop(name, None) is not None:
-                self.generation += 1
-        if dirty:
-            self._abstract.clear()
-        self.tree = new_tree
-        declared = set(self.manager.variables)
-        missing = [
-            be for be in new_tree.basic_events if be not in declared
-        ]
-        if missing:
-            self.manager.declare(*missing)
-            # Park each new event next to its siblings in the order
-            # (cheap while node-free, like the splice placeholder): an
-            # event appended at the bottom would otherwise force every
-            # splice touching it to recombine through all the levels in
-            # between.
-            for be in missing:
-                levels = [
-                    self.manager.level_of(sibling)
-                    for parent in new_tree.parents(be)
-                    for sibling in new_tree.children(parent)
-                    if sibling != be
-                    and new_tree.is_basic(sibling)
-                    and sibling in declared
-                ]
-                if levels:
-                    self.manager.move_to_level(be, min(levels))
-        return dirty
 
     def abstract_root(self, site: str) -> Ref:
         """``Psi(top)`` with the subtree at ``site`` replaced by a
@@ -339,8 +283,6 @@ def tree_to_bdd(
     manager: Optional[BDDManager] = None,
     element: Optional[str] = None,
     order: Union[None, str, Sequence[str]] = None,
-    auto_gc: bool = False,
-    auto_reorder: bool = False,
 ) -> Ref:
     """One-shot convenience wrapper around :class:`TreeTranslator`.
 
@@ -351,24 +293,14 @@ def tree_to_bdd(
         order: Variable order for a fresh manager: a heuristic name from
             :data:`repro.bdd.ordering.HEURISTICS`, an explicit list, or
             ``None`` for the default tree DFS order.  Ignored when
-            ``manager`` is given.  Heuristic orders also make good
-            *seeds* for the in-place sifter the ``auto_reorder`` knob
-            arms.
-        auto_gc: Arm the manager's automatic garbage collection (dead
-            intermediate gate BDDs are reclaimed at element boundaries).
-        auto_reorder: Arm automatic in-place sifting when live nodes grow
-            past the manager's trigger.
+            ``manager`` is given.  To arm automatic GC or sifting, pass
+            a manager set up with
+            :meth:`~repro.bdd.manager.BDDManager.configure_memory`.
 
     Returns:
         The BDD for ``Psi_FT(element)``.
     """
     if manager is None:
         manager = BDDManager(resolve_order(tree, order))
-    if auto_gc or auto_reorder:
-        # Unrequested knobs pass None so a pre-armed manager stays armed.
-        manager.configure_memory(
-            auto_gc=True if auto_gc else None,
-            auto_reorder=True if auto_reorder else None,
-        )
     translator = TreeTranslator(tree, manager)
     return translator.element(element if element is not None else tree.top)

@@ -17,24 +17,17 @@ from .measure import (
     rare_event_approximation,
     recursive_probability,
 )
-from .queries import (
-    ProbQuery,
-    ProbabilityChecker,
-    ProbabilityOutcome,
-    parse_prob_query,
-)
+from .queries import ProbabilityChecker, ProbabilityOutcome
 
 __all__ = [
     "PROBABILITY_RTOL",
     "ImportanceRow",
     "MissingProbabilityError",
-    "ProbQuery",
     "ProbabilityChecker",
     "ProbabilityOutcome",
     "ZeroProbabilityEvidenceError",
     "bdd_probability",
     "bdd_probability_many",
-    "parse_prob_query",
     "conditional_probability",
     "enumeration_probability",
     "event_probabilities",

@@ -9,7 +9,11 @@ over the kernel's weighted-evaluation pass:
     P(phi)[e := p, ...] |><| c     per-query probability settings
 
 where ``phi``/``psi`` are any layer-1 BFL formulae, evaluated against
-independent basic-event failure probabilities.  Probabilities are
+independent basic-event failure probabilities.  A query has one form:
+:func:`repro.logic.parser.parse` turns the text into a
+:class:`~repro.logic.ast_nodes.ProbabilityQuery` (which validates the
+comparator and the bound), and :meth:`ProbabilityChecker.evaluate` and
+:meth:`ProbabilityChecker.check` take either.  Probabilities are
 computed on exactly the BDD that Algorithm 1 builds for ``phi``, so
 every BFL construct — evidence, MCS/MPS, VOT — participates for free,
 and the BDDs land in the same manager (and manager-level probability
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..checker.translate import FormulaTranslator
-from ..errors import BFLSyntaxError
 from ..ft.tree import FaultTree
 from ..logic.ast_nodes import Formula, ProbabilityQuery
 from ..logic.parser import parse, parse_formula
@@ -55,75 +58,6 @@ _COMPARATORS: Dict[str, Callable[[float, float], bool]] = {
     ">=": operator.ge,
     ">": operator.gt,
 }
-
-
-@dataclass(frozen=True)
-class ProbQuery:
-    """``P(formula) |><| bound`` (the unconditional PFL fragment).
-
-    Predates :class:`~repro.logic.ast_nodes.ProbabilityQuery` (which adds
-    conditioning and probability settings) and is kept as the stable
-    plain-data form for callers that build queries programmatically.
-    """
-
-    formula: Formula
-    comparator: str
-    bound: float
-
-    def __post_init__(self) -> None:
-        if self.comparator not in _COMPARATORS:
-            raise ValueError(
-                f"comparator must be one of {sorted(_COMPARATORS)}, "
-                f"got {self.comparator!r}"
-            )
-        if not 0.0 <= self.bound <= 1.0:
-            raise ValueError(f"bound {self.bound} outside [0, 1]")
-
-
-def parse_prob_query(text: str) -> ProbQuery:
-    """Parse ``"P(<formula>) <cmp> <bound>"`` into a :class:`ProbQuery`.
-
-    Parsed by the BFL DSL grammar (one grammar for the whole surface);
-    conditional or setting-annotated queries do not fit ``ProbQuery`` —
-    parse those with :func:`repro.logic.parser.parse` and hand the
-    :class:`~repro.logic.ast_nodes.ProbabilityQuery` to
-    :meth:`ProbabilityChecker.evaluate`.
-
-    Example:
-        >>> parse_prob_query("P(MoT & !H1) >= 0.25")
-        ProbQuery(formula=..., comparator='>=', bound=0.25)
-    """
-    try:
-        statement = parse(text)
-    except BFLSyntaxError as error:
-        # The historical contract: malformed text raises ValueError —
-        # with the underlying diagnostic, which for shape-valid but
-        # semantically invalid queries (e.g. a bound outside [0, 1]) is
-        # the part that actually explains the rejection.
-        raise ValueError(
-            f"cannot parse probability query {text!r}; expected "
-            f"'P(<formula>) <cmp> <bound>' ({error})"
-        ) from error
-    if not isinstance(statement, ProbabilityQuery):
-        raise ValueError(
-            f"cannot parse probability query {text!r}; expected "
-            "'P(<formula>) <cmp> <bound>'"
-        )
-    if statement.comparator is None:
-        raise ValueError(
-            f"probability query {text!r} has no comparator/bound"
-        )
-    if statement.condition is not None or statement.settings:
-        raise ValueError(
-            "ProbQuery covers 'P(<formula>) <cmp> <bound>' only; use "
-            "ProbabilityChecker.evaluate for conditional or "
-            "setting-annotated queries"
-        )
-    return ProbQuery(
-        formula=statement.formula,
-        comparator=statement.comparator,
-        bound=statement.bound,
-    )
 
 
 @dataclass(frozen=True)
@@ -301,11 +235,14 @@ class ProbabilityChecker:
         root = self.translator.bdd(self._formula(formula))
         return bdd_probability_many(self.translator.manager, root, merged)
 
-    def check(self, query: Union[ProbQuery, ProbabilityQuery, str]) -> bool:
-        """Evaluate ``P(formula) |><| bound`` to its verdict."""
-        if isinstance(query, ProbQuery):
-            value = self.probability(query.formula)
-            return _COMPARATORS[query.comparator](value, query.bound)
+    def check(self, query: Union[ProbabilityQuery, str]) -> bool:
+        """The verdict of ``P(formula) |><| bound`` (DSL text or a parsed
+        :class:`~repro.logic.ast_nodes.ProbabilityQuery`; see
+        :meth:`evaluate`).
+
+        Raises:
+            ValueError: If the query has no comparator and bound.
+        """
         outcome = self.evaluate(query)
         if outcome.holds is None:
             raise ValueError(

@@ -434,11 +434,3 @@ class TestAutomaticTriggers:
         assert reorder["auto_reorders"] > 0
         assert reorder["swaps"] > 0
         managed.session().checker.manager.check_invariants()
-
-    def test_tree_to_bdd_knobs(self):
-        tree = build_covid_tree()
-        root = tree_to_bdd(tree, auto_gc=True, auto_reorder=True)
-        manager = root.manager
-        assert manager._gc_enabled
-        assert manager._auto_reorder
-        manager.check_invariants()

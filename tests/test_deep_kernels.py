@@ -104,6 +104,19 @@ def test_a_kernel_failing_its_invariants_is_rebuilt(monkeypatch):
     rebuilt.checker.manager.check_invariants()
 
 
+def test_a_facade_kernel_failing_its_invariants_is_rebuilt(monkeypatch):
+    tree = deep_tree()
+    checker = ModelChecker(tree)
+    first = checker.manager
+    monkeypatch.setattr(BDDManager, "check_invariants", broken)
+    rows = [checker.execute(q).to_dict() for q in BATTERY]
+    monkeypatch.undo()
+    check_rows(rows, len(tree.basic_events) // 2)
+    assert checker.manager is not first
+    checker.manager.check_invariants()
+    assert checker.execute("exists A0").holds
+
+
 @pytest.mark.parametrize("break_kernel", [False, True])
 def test_http_battery_gets_a_200_with_structured_rows(monkeypatch, break_kernel):
     tree = deep_tree()

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from repro.bdd import BDDManager
 from repro.casestudy import build_covid_tree
+from repro.errors import ReproError
 from repro.ft import FaultTreeBuilder, figure1_tree, random_tree, tree_to_bdd
 from repro.ft.random_trees import RandomTreeConfig
+from repro.logic import parse
+from repro.logic.ast_nodes import ProbabilityQuery
 from repro.prob import (
     MissingProbabilityError,
-    ProbQuery,
     ProbabilityChecker,
     bdd_probability,
     conditional_probability,
@@ -20,7 +22,6 @@ from repro.prob import (
     event_probabilities,
     importance_table,
     min_cut_upper_bound,
-    parse_prob_query,
     rare_event_approximation,
     render_importance_table,
 )
@@ -161,14 +162,17 @@ class TestProbabilityChecker:
         assert conditioned > base
 
     def test_check_comparators(self, checker):
-        assert checker.check(ProbQuery(parse_prob_query("P(MoT) > 0").formula, ">", 0.0))
-        assert checker.check(parse_prob_query("P(MoT) <= 1"))
-        assert not checker.check(parse_prob_query("P(MoT) >= 0.99"))
+        assert checker.check("P(MoT) > 0")
+        assert checker.check(parse("P(MoT) <= 1"))
+        assert not checker.check("P(MoT) >= 0.99")
+        with pytest.raises(ValueError):
+            checker.check("P(MoT)")  # a value query has no verdict
 
 
 class TestParseProbQuery:
     def test_round_trip_fields(self):
-        query = parse_prob_query("P(MoT & !H1) >= 0.25")
+        query = parse("P(MoT & !H1) >= 0.25")
+        assert isinstance(query, ProbabilityQuery)
         assert query.comparator == ">="
         assert query.bound == 0.25
 
@@ -176,12 +180,18 @@ class TestParseProbQuery:
         "text", ["P(MoT)", "Q(MoT) >= 0.1", "P(MoT) >= two", "P() >= 0.1"]
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises((ValueError, Exception)):
-            parse_prob_query(text)
+        tree = build_covid_tree()
+        checker = ProbabilityChecker(tree, overrides=_uniform(tree))
+        with pytest.raises((ValueError, ReproError)):
+            checker.check(text)
 
     def test_bound_range_validated(self):
         with pytest.raises(ValueError):
-            ProbQuery(parse_prob_query("P(MoT) >= 0.1").formula, ">=", 1.5)
+            ProbabilityQuery(
+                formula=parse("P(MoT) >= 0.1").formula,
+                comparator=">=",
+                bound=1.5,
+            )
 
 
 class TestImportance:

@@ -32,7 +32,6 @@ from repro.prob import (
     bdd_probability,
     conditional_probability,
     enumeration_probability,
-    parse_prob_query,
     recursive_probability,
 )
 from repro.service import BatchAnalyzer
@@ -423,6 +422,11 @@ class TestPFLParser:
     def test_bound_outside_unit_interval_rejected(self):
         with pytest.raises(ReproError):
             parse("P(a) >= 1.5")
+        with pytest.raises(ReproError, match="outside"):
+            parse("P(MoT) >= 2")
+        for text in ("P(MoT >= 0.3", "P() >= 0.1"):
+            with pytest.raises(ReproError):
+                parse(text)
 
     def test_nested_p_rejected(self):
         with pytest.raises(ReproError):
@@ -433,23 +437,6 @@ class TestPFLParser:
     def test_element_named_p_still_usable(self):
         assert parse("P & b") == parse("P && b")
         assert parse('"P"') == Atom("P")
-
-    def test_parse_prob_query_compat(self):
-        query = parse_prob_query("P(MoT & !H1) >= 0.25")
-        assert query.comparator == ">=" and query.bound == 0.25
-        with pytest.raises(ValueError):
-            parse_prob_query("P(MoT)")  # no comparator
-        with pytest.raises(ValueError):
-            parse_prob_query("P(MoT | H1) >= 0.25")  # conditional
-        # The historical contract: malformed *text* is also ValueError
-        # (BFLSyntaxError is chained as the cause, not raised).
-        with pytest.raises(ValueError):
-            parse_prob_query("P(MoT >= 0.3")
-        with pytest.raises(ValueError):
-            parse_prob_query("P() >= 0.1")
-        # Semantically invalid queries carry the real diagnostic.
-        with pytest.raises(ValueError, match="outside"):
-            parse_prob_query("P(MoT) >= 2")
 
 
 class TestProbabilityQueryAst:

@@ -8,7 +8,8 @@ variant fork proportional to the *edit*, not the tree:
   where its subtree lives, so the splice compose grafts instead of
   recombining through every level in between;
 * ``changed_elements_from_edits`` reads the dirty set off the edit
-  script instead of diffing record tables;
+  script instead of diffing record tables (the record diff,
+  ``changed_elements`` below, is its oracle);
 * ``adopt_from`` bulk-seeds a child translator from its parent without
   copying or re-checking the shared manager's handles.
 
@@ -27,11 +28,12 @@ from hypothesis import strategies as st
 from repro.bdd import BDDManager
 from repro.errors import SnapshotError, VariableError
 from repro.ft import (
+    EditError,
     GateSwap,
     WeightChange,
     apply_edits,
-    changed_elements,
     changed_elements_from_edits,
+    edits_from_any,
 )
 from repro.ft.to_bdd import TreeTranslator, hole_variable
 from bfl_strategies import small_trees
@@ -148,6 +150,38 @@ def test_splice_parks_hole_above_site_support(data):
 # ----------------------------------------------------------------------
 
 
+def _records(tree):
+    """Every element's local record: its own definition, children by
+    name."""
+    table = {name: ("be", name) for name in tree.basic_events}
+    for name in tree.gate_names:
+        gate = tree.gate(name)
+        table[name] = (gate.gate_type.value, gate.threshold, gate.children)
+    return table
+
+
+def changed_elements(old, new):
+    """Element names whose structure function may differ between trees,
+    by diffing local records: a name in one tree only or with a changed
+    record, plus every ancestor of one (in either tree)."""
+    old_records = _records(old)
+    new_records = _records(new)
+    changed = set(old_records.keys() ^ new_records.keys())
+    for name in old_records.keys() & new_records.keys():
+        if old_records[name] != new_records[name]:
+            changed.add(name)
+    stack = list(changed)
+    while stack:
+        name = stack.pop()
+        for tree in (old, new):
+            if name in tree:
+                for parent in tree.parents(name):
+                    if parent not in changed:
+                        changed.add(parent)
+                        stack.append(parent)
+    return frozenset(changed)
+
+
 @given(data=small_trees(), seed=st.integers(0, 2**31 - 1))
 @settings(**_SETTINGS)
 def test_dirty_from_edits_covers_record_diff(data, seed):
@@ -199,6 +233,41 @@ def test_dirty_from_edits_noop_swap_is_conservative_only():
     assert changed_elements(tree, new_tree) == frozenset()
     estimated = changed_elements_from_edits(tree, new_tree, [swap])
     assert gate in estimated
+
+
+def test_only_the_five_edit_types_are_edits():
+    """``edits_from_any`` rejects anything that is neither an edit nor
+    its mapping form, so the dirty set never meets an unknown edit."""
+    from repro.ft import figure1_tree
+
+    tree = figure1_tree()
+    for item in (object(), "gate-swap", (tree.top, "and")):
+        with pytest.raises(EditError):
+            edits_from_any([item])
+        with pytest.raises(EditError):
+            changed_elements_from_edits(tree, tree, [item])
+
+
+def test_a_variant_event_is_appended_to_the_shared_order():
+    """A variant's new event is declared after every base event in the
+    shared kernel, not parked next to its siblings."""
+    from repro.casestudy import build_covid_tree
+    from repro.service import BatchAnalyzer
+
+    tree = build_covid_tree()
+    edit = {"op": "event-add", "gate": "MoT", "event": "EXTRA"}
+    analyzer = BatchAnalyzer(tree, variants={"v": {"edits": [edit]}})
+    base = analyzer.session()
+    variant = analyzer.session("v")
+    manager = variant.checker.manager
+    assert manager is base.checker.manager
+    order = list(manager.variables)
+    assert order.index("EXTRA") > max(
+        order.index(name) for name in tree.basic_events
+    )
+    assert analyzer.run([{"tree": "v", "formula": "exists EXTRA"}]).results[
+        0
+    ].holds
 
 
 # ----------------------------------------------------------------------
